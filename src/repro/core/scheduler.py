@@ -64,6 +64,10 @@ class DeadlineAwareScheduler(PathController):
         # MpDashSocket and lazily by the PathController hooks, so that
         # disarm() can restore path state even between transfers.
         self._connection: Optional[MptcpConnection] = None
+        # ``_ordered_names`` result, keyed by the connection it was
+        # computed for: a connection's paths are fixed at construction.
+        self._names_for: Optional[MptcpConnection] = None
+        self._names: List[str] = []
         # Statistics across the controller's lifetime.
         self.activations = 0
         self.deadline_misses = 0
@@ -309,6 +313,8 @@ class DeadlineAwareScheduler(PathController):
         return desired
 
     def _ordered_names(self, connection: MptcpConnection) -> List[str]:
+        if connection is self._names_for:
+            return self._names
         known = set(connection.path_names())
         ordered = [n for n in self.preference.order if n in known]
         missing = known - set(ordered)
@@ -316,6 +322,8 @@ class DeadlineAwareScheduler(PathController):
             raise KeyError(
                 f"connection has paths outside the preference: "
                 f"{sorted(missing)} (preference {self.preference.order})")
+        self._names_for = connection
+        self._names = ordered
         return ordered
 
     def _count_flips(self, connection: MptcpConnection,

@@ -57,41 +57,50 @@ def interface_energy(activity: ActivityLog, path: str,
     """Energy of one interface over [0, session_end]."""
     if session_end <= 0:
         raise ValueError(f"session_end must be positive: {session_end!r}")
-    times, values = activity.series(path, until=session_end)
     width = activity.bin_width
-    breakdown = EnergyBreakdown()
+    tail_time = profile.tail_time
+    tail_power = profile.tail_power
+    idle_power = profile.idle_power
+    # Per-state sums, each accumulated in burst order; conditional
+    # expressions stand in for max(0.0, x) and min(gap, tail_time).
+    active_j = tail_j = idle_j = promotion_j = 0.0
 
     #: End of the current high-power window (active burst + its tail).
     promoted_until = 0.0
     last_burst_end = None
-    for start, num_bytes in zip(times, values):
+    for start, num_bytes in activity.bursts(path, session_end):
         if num_bytes <= 0:
             continue
         end = start + width
         if last_burst_end is None or start > promoted_until:
             # Entering active from idle: promotion, and close the previous
             # tail (charged fully below when we know the gap).
-            breakdown.promotion += profile.promotion_energy
+            promotion_j += profile.promotion_energy
         if last_burst_end is not None:
-            gap = max(0.0, start - last_burst_end)
-            tail = min(gap, profile.tail_time)
-            breakdown.tail += tail * profile.tail_power
-            breakdown.idle += max(0.0, gap - tail) * profile.idle_power
+            gap = start - last_burst_end
+            gap = gap if gap > 0.0 else 0.0
+            tail = tail_time if tail_time < gap else gap
+            tail_j += tail * tail_power
+            rest = gap - tail
+            idle_j += (rest if rest > 0.0 else 0.0) * idle_power
         else:
-            breakdown.idle += max(0.0, start) * profile.idle_power
+            idle_j += (start if start > 0.0 else 0.0) * idle_power
         throughput_mbps = num_bytes * 8.0 / 1e6 / width
-        breakdown.active += profile.active_power(throughput_mbps) * width
+        active_j += profile.active_power(throughput_mbps) * width
         last_burst_end = end
-        promoted_until = end + profile.tail_time
+        promoted_until = end + tail_time
 
     if last_burst_end is None:
-        breakdown.idle += session_end * profile.idle_power
+        idle_j += session_end * idle_power
     else:
-        gap = max(0.0, session_end - last_burst_end)
-        tail = min(gap, profile.tail_time)
-        breakdown.tail += tail * profile.tail_power
-        breakdown.idle += max(0.0, gap - tail) * profile.idle_power
-    return breakdown
+        gap = session_end - last_burst_end
+        gap = gap if gap > 0.0 else 0.0
+        tail = tail_time if tail_time < gap else gap
+        tail_j += tail * tail_power
+        rest = gap - tail
+        idle_j += (rest if rest > 0.0 else 0.0) * idle_power
+    return EnergyBreakdown(active=active_j, tail=tail_j, idle=idle_j,
+                           promotion=promotion_j)
 
 
 def radio_state_events(activity: ActivityLog, path: str,
@@ -107,11 +116,10 @@ def radio_state_events(activity: ActivityLog, path: str,
     """
     if session_end <= 0:
         raise ValueError(f"session_end must be positive: {session_end!r}")
-    times, values = activity.series(path, until=session_end)
     width = activity.bin_width
     events: List[RadioStateChange] = []
     last_burst_end = None
-    for start, num_bytes in zip(times, values):
+    for start, num_bytes in activity.bursts(path, session_end):
         if num_bytes <= 0:
             continue
         if last_burst_end is None:

@@ -96,7 +96,9 @@ class SessionConfig:
 
     @property
     def sim_deadline(self) -> float:
-        """Wall-clock cap on the simulation."""
+        """Simulated-time cap on the session (seconds of simulated time,
+        not host wall clock): the runner stops advancing the simulator
+        here even if playback has not finished."""
         if self.max_sim_time is not None:
             return self.max_sim_time
         return 2.0 * self.video_duration + 120.0

@@ -184,7 +184,9 @@ def session_config(config: FleetConfig, draw: SessionDraw) -> SessionConfig:
     see different realizations of the same measured conditions.
     """
     location = _location(draw.location)
-    # Long enough for the sim_deadline cap plus startup slack.
+    # Synthesised horizon: 2*video + 180 s (300 s for the default 60 s
+    # video) against the 2*video + 120 s ``sim_deadline`` cap (240 s),
+    # so no session reads past the end of its trace.
     horizon = 2.0 * config.video_duration + 180.0
     wifi = BandwidthTrace.random_walk(
         mbps(location.wifi_mbps), location.wifi_sigma, horizon,

@@ -88,6 +88,18 @@ class ActivityLog:
         values = [per_path.get(i, 0.0) for i in range(last + 1)]
         return times, values
 
+    def bursts(self, path: str, until: float) -> List[Tuple[float, float]]:
+        """The non-empty bins of :meth:`series` as ``(bin_start, bytes)``.
+
+        Same bins, start times and horizon as ``series(path, until)``
+        with the zero bins left out, in time order: walking these visits
+        exactly the bins a dense walk that skips zeros would.
+        """
+        per_path = self._bins.get(path, {})
+        last = int(until / self.bin_width)
+        return [(i * self.bin_width, per_path[i])
+                for i in sorted(per_path) if 0 <= i <= last]
+
     def throughput_series(self, path: str, until: float = None
                           ) -> Tuple[List[float], List[float]]:
         """Like :meth:`series` but in bytes/second."""

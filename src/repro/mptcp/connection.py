@@ -25,7 +25,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence
 from ..estimators import ThroughputEstimator
 from ..net.link import Path
 from ..net.simulator import Simulator, Timer
-from ..net.tcp import integrate_window
+from ..net.tcp import curve_delivered, delivery_curve
 from ..obs.events import (PathStateRequested, SubflowStateChange,
                           TransferCompleted, TransferStarted,
                           new_packet_sent)
@@ -666,25 +666,24 @@ class MptcpConnection:
         if total_rate > 0.0:
             return min(sendable / total_rate, span)
         # Bisection over the combined delivery integral.  Per-sender state
-        # is constant across iterations, so hoist the (idle-restarted)
-        # window and bandwidth once and call the pure integral directly;
-        # converge when the bracket is tighter than the completion slack
-        # in bytes (the same ``_EPSILON`` the byte accounting uses).
-        states = []
+        # is constant across iterations, so prepare each sender's
+        # delivery curve from its (idle-restarted) window and bandwidth
+        # once; converge when the bracket is tighter than the completion
+        # slack in bytes (the same ``_EPSILON`` the byte accounting uses).
+        curves = []
         floor_rate = 0.0
         for sf in senders:
             cwnd, ssthresh = sf.tcp.window_after_restart(t0)
             bw = sf.path.bandwidth_at(t0)
-            states.append((cwnd, ssthresh, sf.tcp.rtt, bw))
+            curves.append(delivery_curve(cwnd, ssthresh, sf.tcp.rtt, bw))
             floor_rate += min(cwnd / sf.tcp.rtt, bw)
         tolerance = max(1e-12, _EPSILON / max(floor_rate, 1.0))
         lo, hi = 0.0, span
         for _ in range(80):
             mid = (lo + hi) / 2.0
             total = 0.0
-            for cwnd, ssthresh, rtt, bw in states:
-                total += integrate_window(cwnd, ssthresh, rtt, bw,
-                                          dt_limit=mid)[0]
+            for curve in curves:
+                total += curve_delivered(curve, mid)
             if total >= sendable:
                 hi = mid
             else:

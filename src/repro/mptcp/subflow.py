@@ -154,7 +154,12 @@ class Subflow:
         if end <= start:
             return 0.0
         tcp = self.tcp
+        name = self.path.name
         bw = self.path.bandwidth_at(start)
+        # ``tcp.pinned_rate(t, bw) is not None``, with the span-constant
+        # ceiling computed once.
+        pinned_cwnd = tcp.pinned_window(bw)
+        rto = tcp.rto
         total = 0.0
         t = start
         index = int(start / bin_width)
@@ -166,7 +171,9 @@ class Subflow:
             # activity bin at a time, folding the estimator's busy-time
             # samples in closed form instead of splitting steps at every
             # sample boundary.
-            if tcp.pinned_rate(t, bw) is not None:
+            last = tcp.last_send_time
+            if (last is not None and not t - last > rto
+                    and tcp.cwnd == pinned_cwnd):
                 estimator = self.estimator
                 while t < end - 1e-12:
                     bin_end = (index + 1) * bin_width
@@ -190,7 +197,7 @@ class Subflow:
                         else:
                             self._sample_busy = busy
                             self._sample_bytes += delta
-                        emit(self.name, index, t, delta)
+                        emit(name, index, t, delta)
                     t = step_end
                     if step_end >= bin_end - 1e-12:
                         index += 1
@@ -212,7 +219,7 @@ class Subflow:
                                           / self._sample_busy)
                     self._sample_bytes = 0.0
                     self._sample_busy = 0.0
-                emit(self.name, index, t, delta)
+                emit(name, index, t, delta)
             t = step_end
             if step_end >= bin_end - 1e-12:
                 index += 1

@@ -71,51 +71,74 @@ def integrate_window(cwnd: float, ssthresh: float, rtt: float, bw: float,
     (zero bandwidth).  The function is pure; callers apply idle-restart
     before integrating (see :meth:`TcpState.window_after_restart`).
     """
+    # Conditional expressions stand in for min()/max() (this is the
+    # kernel's innermost call), each returning exactly the operand the
+    # builtin would.  A limit of ``inf`` leaves its ``tau_bytes`` at
+    # ``inf``, which cannot shorten a phase, so it is not computed.
     bdp = bw * rtt
     ceiling = bdp * (1.0 + QUEUE_ALLOWANCE)
-    cap = max(ceiling, INITIAL_CWND)
+    cap = INITIAL_CWND if INITIAL_CWND > ceiling else ceiling
     c = cwnd
     if c > cap:
         c = cap
-        ssthresh = max(c, INITIAL_CWND)
+        ssthresh = INITIAL_CWND if INITIAL_CWND > c else c
     delivered = 0.0
     elapsed = 0.0
 
     # Phase 1: slow start (rate = c/rtt, window doubles per RTT).
-    target = min(ssthresh, bdp)
+    target = bdp if bdp < ssthresh else ssthresh
     if elapsed < dt_limit and delivered < bytes_limit and c < target:
         tau = rtt * math.log2(target / c)
-        tau = min(tau, dt_limit - elapsed)
+        left = dt_limit - elapsed
+        if left < tau:
+            tau = left
         budget = bytes_limit - delivered
-        tau_bytes = rtt * math.log2(1.0 + budget * _LN2 / c)
-        tau = min(tau, tau_bytes)
-        delivered += c * (2.0 ** (tau / rtt) - 1.0) / _LN2
-        c = min(c * 2.0 ** (tau / rtt), target)
+        if budget != math.inf:
+            tau_bytes = rtt * math.log2(1.0 + budget * _LN2 / c)
+            if tau_bytes < tau:
+                tau = tau_bytes
+        growth = 2.0 ** (tau / rtt)
+        delivered += c * (growth - 1.0) / _LN2
+        c = c * growth
+        if target < c:
+            c = target
         elapsed += tau
 
     # Phase 2: congestion avoidance below the BDP (rate = c/rtt, linear
     # growth of one segment per RTT).
     if elapsed < dt_limit and delivered < bytes_limit and c < bdp:
         tau = (bdp - c) * rtt / PACKET_SIZE
-        tau = min(tau, dt_limit - elapsed)
+        left = dt_limit - elapsed
+        if left < tau:
+            tau = left
         budget = bytes_limit - delivered
         half_a = PACKET_SIZE / (2.0 * rtt)
-        tau_bytes = ((math.sqrt(c * c + 4.0 * half_a * budget * rtt) - c)
-                     / (2.0 * half_a))
-        tau = min(tau, tau_bytes)
+        if budget != math.inf:
+            tau_bytes = ((math.sqrt(c * c + 4.0 * half_a * budget * rtt) - c)
+                         / (2.0 * half_a))
+            if tau_bytes < tau:
+                tau = tau_bytes
         delivered += (c * tau + half_a * tau * tau) / rtt
-        c = min(c + PACKET_SIZE * tau / rtt, bdp)
+        c = c + PACKET_SIZE * tau / rtt
+        if bdp < c:
+            c = bdp
         elapsed += tau
 
     # Phase 3: between the BDP and the ceiling the rate is pinned at bw but
     # the window still grows (the standing-queue allowance filling up).
     if elapsed < dt_limit and delivered < bytes_limit and c < ceiling:
         tau = (ceiling - c) * rtt / PACKET_SIZE
-        tau = min(tau, dt_limit - elapsed)
+        left = dt_limit - elapsed
+        if left < tau:
+            tau = left
         if bw > 0:
-            tau = min(tau, (bytes_limit - delivered) / bw)
+            tau_bytes = (bytes_limit - delivered) / bw
+            if tau_bytes < tau:
+                tau = tau_bytes
         delivered += bw * tau
-        c = min(c + PACKET_SIZE * tau / rtt, ceiling)
+        c = c + PACKET_SIZE * tau / rtt
+        if ceiling < c:
+            c = ceiling
         elapsed += tau
 
     # Phase 4: pinned at the ceiling; rate = bw, no further growth.
@@ -123,7 +146,9 @@ def integrate_window(cwnd: float, ssthresh: float, rtt: float, bw: float,
         if math.isfinite(dt_limit):
             tau = dt_limit - elapsed
             if bw > 0:
-                tau = min(tau, (bytes_limit - delivered) / bw)
+                tau_bytes = (bytes_limit - delivered) / bw
+                if tau_bytes < tau:
+                    tau = tau_bytes
             delivered += bw * tau
             elapsed += tau
         elif bw > 0:
@@ -136,6 +161,111 @@ def integrate_window(cwnd: float, ssthresh: float, rtt: float, bw: float,
     return delivered, elapsed, c, ssthresh
 
 
+def delivery_curve(cwnd: float, ssthresh: float, rtt: float,
+                   bw: float) -> tuple:
+    """Prepare :func:`curve_delivered` for one window state.
+
+    For the completion solver, which bisects over one window state: with
+    no byte limit, each phase the trajectory completes before ``dt`` ends
+    in a state that does not depend on ``dt``, so those states are
+    computed once here.  The result is an opaque plain tuple: the solver
+    builds one per sender per solve, and a tuple is the cheapest record
+    to build and unpack.
+    """
+    inf = math.inf
+    bdp = bw * rtt
+    ceiling = bdp * (1.0 + QUEUE_ALLOWANCE)
+    cap = INITIAL_CWND if INITIAL_CWND > ceiling else ceiling
+    c0 = cwnd
+    if c0 > cap:
+        c0 = cap
+        ssthresh = INITIAL_CWND if INITIAL_CWND > c0 else c0
+    target = bdp if bdp < ssthresh else ssthresh
+    half_a = PACKET_SIZE / (2.0 * rtt)
+
+    # Phase durations and the (elapsed, delivered, window) each phase
+    # ends in when run in full; a phase that does not apply leaves them.
+    e1, d1, c1, t1 = 0.0, 0.0, c0, 0.0
+    slow = c0 < target
+    if slow:
+        t1 = rtt * math.log2(target / c0)
+        growth = 2.0 ** (t1 / rtt)
+        d1 = 0.0 + c0 * (growth - 1.0) / _LN2
+        c1 = c0 * growth
+        if target < c1:
+            c1 = target
+        e1 = 0.0 + t1
+    e2, d2, c2, t2 = e1, d1, c1, 0.0
+    avoid = d1 < inf and c1 < bdp
+    if avoid:
+        t2 = (bdp - c1) * rtt / PACKET_SIZE
+        d2 = d1 + (c1 * t2 + half_a * t2 * t2) / rtt
+        c2 = c1 + PACKET_SIZE * t2 / rtt
+        if bdp < c2:
+            c2 = bdp
+        e2 = e1 + t2
+    e3, d3, t3 = e2, d2, 0.0
+    fill = d2 < inf and c2 < ceiling
+    if fill:
+        t3 = (ceiling - c2) * rtt / PACKET_SIZE
+        d3 = d2 + bw * t3
+        e3 = e2 + t3
+    return (slow, t1, c0, rtt, e1, d1, avoid, t2, c1, half_a, bdp, ceiling,
+            bw, e2, d2, fill, t3, e3, d3)
+
+
+def curve_delivered(curve: tuple, dt: float) -> float:
+    """``integrate_window(cwnd, ssthresh, rtt, bw, dt_limit=dt)[0]``.
+
+    ``curve`` comes from :func:`delivery_curve`.  Only the phase ``dt``
+    ends in, and any sliver after it, is evaluated, with the float
+    operations of :func:`integrate_window`, so the result is identical.
+    """
+    if not 0.0 < dt:
+        return 0.0
+    (slow, t1, c0, rtt, e1, d1, avoid, t2, c1, half_a, bdp, ceiling,
+     bw, e2, d2, fill, t3, e3, d3) = curve
+    if slow and dt < t1:
+        return 0.0 + c0 * (2.0 ** (dt / rtt) - 1.0) / _LN2
+    if not e1 < dt:
+        return d1
+    if avoid:
+        tau = dt - e1
+        if tau < t2:
+            delivered = d1 + (c1 * tau + half_a * tau * tau) / rtt
+            c = c1 + PACKET_SIZE * tau / rtt
+            if bdp < c:
+                c = bdp
+            elapsed = e1 + tau
+            # Phase 3 from this state, then phase 4.
+            if elapsed < dt and delivered < math.inf and c < ceiling:
+                tau = (ceiling - c) * rtt / PACKET_SIZE
+                left = dt - elapsed
+                if left < tau:
+                    tau = left
+                delivered += bw * tau
+                elapsed += tau
+            return _pinned_delivery(delivered, elapsed, dt, bw)
+    if not e2 < dt:
+        return d2
+    if fill:
+        tau = dt - e2
+        if tau < t3:
+            return _pinned_delivery(d2 + bw * tau, e2 + tau, dt, bw)
+    return _pinned_delivery(d3, e3, dt, bw)
+
+
+def _pinned_delivery(delivered: float, elapsed: float, dt: float,
+                     bw: float) -> float:
+    """Phase 4 of :func:`integrate_window` without a byte limit."""
+    if elapsed < dt and delivered < math.inf:
+        if math.isfinite(dt):
+            return delivered + bw * (dt - elapsed)
+        if bw > 0:
+            return delivered + bw * ((math.inf - delivered) / bw)
+    return delivered
+
+
 class TcpState:
     """Congestion state of one subflow, advanced in fluid time steps."""
 
@@ -143,6 +273,8 @@ class TcpState:
         if rtt <= 0:
             raise ValueError(f"rtt must be positive: {rtt!r}")
         self.rtt = rtt
+        #: Idle longer than this restarts the window (RFC 2861).
+        self.rto = max(MIN_RTO, 2.0 * rtt)
         self.cwnd = float(INITIAL_CWND)
         self.ssthresh = float("inf")
         self.last_send_time: float = None  # type: ignore[assignment]
@@ -203,7 +335,7 @@ class TcpState:
         cwnd, ssthresh = self.cwnd, self.ssthresh
         if self.last_send_time is not None:
             idle = now - self.last_send_time
-            rto = max(MIN_RTO, 2.0 * self.rtt)
+            rto = self.rto
             if idle > rto:
                 halvings = min(int(idle / rto), 64)
                 ssthresh = max(cwnd * 0.75, INITIAL_CWND)
@@ -223,12 +355,16 @@ class TcpState:
         (and record ssthresh), which this fast path would skip.
         """
         last = self.last_send_time
-        if last is None or now - last > max(MIN_RTO, 2.0 * self.rtt):
+        if last is None or now - last > self.rto:
             return None
-        ceiling = available_bw * self.rtt * (1.0 + QUEUE_ALLOWANCE)
-        if self.cwnd != max(ceiling, INITIAL_CWND):
+        if self.cwnd != self.pinned_window(available_bw):
             return None
         return available_bw
+
+    def pinned_window(self, available_bw: float) -> float:
+        """The phase-4 ceiling window :meth:`pinned_rate` tests against."""
+        ceiling = available_bw * self.rtt * (1.0 + QUEUE_ALLOWANCE)
+        return INITIAL_CWND if INITIAL_CWND > ceiling else ceiling
 
     def potential_bytes(self, now: float, dt: float, available_bw: float) -> float:
         """Bytes this subflow could deliver over ``[now, now + dt]``.
@@ -280,7 +416,7 @@ class TcpState:
         if self.last_send_time is None:
             return
         idle = now - self.last_send_time
-        rto = max(MIN_RTO, 2.0 * self.rtt)
+        rto = self.rto
         if idle > rto:
             # Halve once per RTO elapsed, not below the initial window.  A
             # few dozen halvings already reach the floor; cap the exponent

@@ -46,16 +46,57 @@ class BandwidthTrace:
             raise ValueError("bandwidth cannot be negative")
         self._times = list(times)
         self._rates = list(rates)
-        self.loop = loop
-        # Offsets (within one period) where the rate actually changes;
-        # computed lazily because constructors mutate ``duration`` afterwards.
-        self._changes: Optional[list] = None
+        self._loop = loop
         # Duration of the recorded portion; only meaningful when looping or
         # when the caller treats the trace as finite.
         if len(times) > 1:
             self.duration = times[-1] + (times[-1] - times[-2])
         else:
             self.duration = math.inf if not loop else 1.0
+
+    @property
+    def loop(self) -> bool:
+        """Whether the trace wraps around after ``duration``."""
+        return self._loop
+
+    @loop.setter
+    def loop(self, value: bool) -> None:
+        self._loop = value
+        self._reset_lookups()
+
+    @property
+    def duration(self) -> float:
+        """Length of one recorded period in seconds (the wrap point)."""
+        return self._duration
+
+    @duration.setter
+    def duration(self, value: float) -> None:
+        self._duration = value
+        self._reset_lookups()
+
+    def _reset_lookups(self) -> None:
+        """Drop everything derived from ``loop`` and ``duration``.
+
+        Constructors reassign ``duration`` after ``__init__``, so the
+        change points and both lookup cursors are rebuilt on demand.
+        """
+        looping = (self._loop and math.isfinite(self._duration)
+                   and self._duration > 0)
+        #: The wrap period, or 0.0 when queries are not wrapped.
+        self._period = self._duration if looping else 0.0
+        # Offsets (within one period) where the rate actually changes.
+        self._changes: Optional[list] = None
+        # Lookup cursors: the segment the last query landed in, as offsets
+        # ``[lo, hi)`` within one period, capped at the period when
+        # looping.  Inside the first period a time *is* its offset, so a
+        # query there that falls in the cursor needs neither the wrap nor
+        # the search.  Empty until the first query.
+        self._bw_lo = self._bw_hi = 0.0
+        self._bw_rate = 0.0
+        self._nc_lo = self._nc_hi = 0.0
+        self._nc_index = 0
+        #: ``next_change`` answer for a first-period query in the cursor.
+        self._nc_next = math.inf
 
     # ------------------------------------------------------------------
     # Constructors
@@ -113,13 +154,18 @@ class BandwidthTrace:
         count = max(1, int(math.ceil(duration / interval)))
         sigma = sigma_fraction * mean_bytes_per_s
         innovation = sigma * math.sqrt(max(1e-9, 2 * reversion - reversion ** 2))
+        low = 0.05 * mean_bytes_per_s
+        high = 2.5 * mean_bytes_per_s
         samples = []
         level = mean_bytes_per_s
-        for _ in range(count):
+        # One vector draw yields the same stream as ``count`` scalar draws.
+        for shock in rng.normal(0.0, innovation, count).tolist():
             level += reversion * (mean_bytes_per_s - level)
-            level += rng.normal(0.0, innovation)
-            level = min(max(level, 0.05 * mean_bytes_per_s),
-                        2.5 * mean_bytes_per_s)
+            level += shock
+            if low > level:
+                level = low
+            if high < level:
+                level = high
             samples.append(level)
         return cls.from_samples(samples, interval)
 
@@ -137,15 +183,17 @@ class BandwidthTrace:
         horizon = base.duration if math.isfinite(base.duration) else (
             max(end for _, end in dropouts) + 1.0 if dropouts else 1.0)
         count = max(1, int(math.ceil(horizon / interval)))
-        samples = []
-        for i in range(count):
-            t = i * interval
-            rate = base.bandwidth_at(t)
-            for start, end in dropouts:
-                if start <= t < end:
-                    rate = floor_bytes_per_s
-                    break
-            samples.append(rate)
+        # Resample the base on the grid ``i * interval`` with the same
+        # wrap and right-bisection ``bandwidth_at`` applies per query.
+        grid = np.arange(count) * interval
+        offsets = np.remainder(grid, base._period) if base._period else grid
+        index = np.searchsorted(base._times, offsets, side="right") - 1
+        dropped = np.zeros(count, dtype=bool)
+        for start, end in dropouts:
+            dropped |= (start <= grid) & (grid < end)
+        rates = base._rates
+        samples = [floor_bytes_per_s if drop else rates[i]
+                   for i, drop in zip(index.tolist(), dropped.tolist())]
         return cls.from_samples(samples, interval)
 
     @classmethod
@@ -186,14 +234,21 @@ class BandwidthTrace:
 
     def bandwidth_at(self, time: float) -> float:
         """Available bandwidth (bytes/second) at simulated ``time``."""
+        if self._bw_lo <= time < self._bw_hi:
+            return self._bw_rate
         if time < 0:
             raise ValueError(f"time cannot be negative: {time!r}")
-        if self.loop and math.isfinite(self.duration) and self.duration > 0:
-            time = time % self.duration
-        index = bisect.bisect_right(self._times, time) - 1
-        if index < 0:
-            index = 0
-        return self._rates[index]
+        period = self._period
+        offset = time % period if period else time
+        if not self._bw_lo <= offset < self._bw_hi:
+            # ``times[0] == 0`` and ``offset >= 0`` keep the index >= 0.
+            times = self._times
+            index = bisect.bisect_right(times, offset) - 1
+            hi = times[index + 1] if index + 1 < len(times) else math.inf
+            self._bw_lo = times[index]
+            self._bw_hi = period if period and hi > period else hi
+            self._bw_rate = self._rates[index]
+        return self._bw_rate
 
     def _change_points(self) -> list:
         """Offsets within one period at which the rate *actually* changes.
@@ -207,9 +262,8 @@ class BandwidthTrace:
             changes = [t for prev, rate, t in
                        zip(self._rates, self._rates[1:], self._times[1:])
                        if rate != prev]
-            if (self.loop and math.isfinite(self.duration)
-                    and self._rates[-1] != self._rates[0]):
-                changes.append(self.duration)
+            if self._period and self._rates[-1] != self._rates[0]:
+                changes.append(self._period)
             self._changes = changes
         return self._changes
 
@@ -222,21 +276,32 @@ class BandwidthTrace:
         the event-driven kernel walks: between ``time`` and the returned
         instant, :meth:`bandwidth_at` is guaranteed constant.
         """
+        if self._nc_lo <= time < self._nc_hi:
+            return self._nc_next
         if time < 0:
             raise ValueError(f"time cannot be negative: {time!r}")
         changes = self._change_points()
-        if not changes:
-            return math.inf
-        looping = self.loop and math.isfinite(self.duration) and self.duration > 0
-        if not looping:
-            index = bisect.bisect_right(changes, time)
-            return changes[index] if index < len(changes) else math.inf
-        offset = time % self.duration
+        period = self._period
+        offset = time % period if period else time
+        if not self._nc_lo <= offset < self._nc_hi:
+            index = bisect.bisect_right(changes, offset)
+            hi = changes[index] if index < len(changes) else math.inf
+            self._nc_lo = changes[index - 1] if index else 0.0
+            self._nc_hi = period if period and hi > period else hi
+            self._nc_index = index
+            if index < len(changes):
+                self._nc_next = changes[index]
+            elif period and changes:
+                self._nc_next = period + changes[0]
+            else:
+                self._nc_next = math.inf
+        if not period or not changes:
+            return self._nc_next
         base = time - offset
-        index = bisect.bisect_right(changes, offset)
+        index = self._nc_index
         if index < len(changes):
             return base + changes[index]
-        return base + self.duration + changes[0]
+        return base + period + changes[0]
 
     def segment(self, time: float) -> tuple:
         """``(rate, until)``: the rate holding at ``time`` and the absolute

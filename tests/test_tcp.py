@@ -1,8 +1,14 @@
 """Tests for the fluid TCP subflow model."""
 
-import pytest
+import math
 
-from repro.net.tcp import INITIAL_CWND, MIN_RTO, TcpState
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.net.tcp import (INITIAL_CWND, MIN_RTO, QUEUE_ALLOWANCE, TcpState,
+                           curve_delivered, delivery_curve,
+                           integrate_window)
 from repro.net.units import PACKET_SIZE, mbps
 
 
@@ -101,3 +107,129 @@ class TestReset:
         tcp.reset()
         assert tcp.cwnd == INITIAL_CWND
         assert tcp.ssthresh == float("inf")
+
+
+_LN2 = math.log(2.0)
+
+
+def reference_integrate_window(cwnd, ssthresh, rtt, bw, dt_limit=math.inf,
+                               bytes_limit=math.inf):
+    """The closed-form integral written with min()/max(): the oracle."""
+    bdp = bw * rtt
+    ceiling = bdp * (1.0 + QUEUE_ALLOWANCE)
+    cap = max(ceiling, INITIAL_CWND)
+    c = cwnd
+    if c > cap:
+        c = cap
+        ssthresh = max(c, INITIAL_CWND)
+    delivered = 0.0
+    elapsed = 0.0
+
+    target = min(ssthresh, bdp)
+    if elapsed < dt_limit and delivered < bytes_limit and c < target:
+        tau = rtt * math.log2(target / c)
+        tau = min(tau, dt_limit - elapsed)
+        budget = bytes_limit - delivered
+        tau_bytes = rtt * math.log2(1.0 + budget * _LN2 / c)
+        tau = min(tau, tau_bytes)
+        delivered += c * (2.0 ** (tau / rtt) - 1.0) / _LN2
+        c = min(c * 2.0 ** (tau / rtt), target)
+        elapsed += tau
+
+    if elapsed < dt_limit and delivered < bytes_limit and c < bdp:
+        tau = (bdp - c) * rtt / PACKET_SIZE
+        tau = min(tau, dt_limit - elapsed)
+        budget = bytes_limit - delivered
+        half_a = PACKET_SIZE / (2.0 * rtt)
+        tau_bytes = ((math.sqrt(c * c + 4.0 * half_a * budget * rtt) - c)
+                     / (2.0 * half_a))
+        tau = min(tau, tau_bytes)
+        delivered += (c * tau + half_a * tau * tau) / rtt
+        c = min(c + PACKET_SIZE * tau / rtt, bdp)
+        elapsed += tau
+
+    if elapsed < dt_limit and delivered < bytes_limit and c < ceiling:
+        tau = (ceiling - c) * rtt / PACKET_SIZE
+        tau = min(tau, dt_limit - elapsed)
+        if bw > 0:
+            tau = min(tau, (bytes_limit - delivered) / bw)
+        delivered += bw * tau
+        c = min(c + PACKET_SIZE * tau / rtt, ceiling)
+        elapsed += tau
+
+    if elapsed < dt_limit and delivered < bytes_limit:
+        if math.isfinite(dt_limit):
+            tau = dt_limit - elapsed
+            if bw > 0:
+                tau = min(tau, (bytes_limit - delivered) / bw)
+            delivered += bw * tau
+            elapsed += tau
+        elif bw > 0:
+            tau = (bytes_limit - delivered) / bw
+            delivered += bw * tau
+            elapsed += tau
+        else:
+            elapsed = math.inf
+
+    return delivered, elapsed, c, ssthresh
+
+
+def identical(actual, expected):
+    """Equal value *and* type, item by item (``inf`` included)."""
+    return [repr(x) for x in actual] == [repr(x) for x in expected]
+
+
+_cwnds = st.one_of(st.just(float(INITIAL_CWND)), st.just(INITIAL_CWND),
+                   st.floats(1.0, 1e7))
+_ssthreshes = st.one_of(st.just(math.inf), st.floats(1.0, 1e7))
+_rtts = st.floats(1e-3, 1.0)
+_bandwidths = st.one_of(st.just(0.0), st.floats(1.0, 1e8))
+_dt_limits = st.one_of(st.just(math.inf), st.just(0.0), st.floats(0.0, 60.0))
+_byte_limits = st.one_of(st.just(math.inf), st.just(0.0),
+                         st.floats(0.0, 1e8))
+
+
+class TestIntegrateWindowExactness:
+    @given(_cwnds, _ssthreshes, _rtts, _bandwidths, _dt_limits,
+           _byte_limits)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, cwnd, ssthresh, rtt, bw, dt_limit,
+                               bytes_limit):
+        assert identical(
+            integrate_window(cwnd, ssthresh, rtt, bw, dt_limit, bytes_limit),
+            reference_integrate_window(cwnd, ssthresh, rtt, bw, dt_limit,
+                                       bytes_limit))
+
+    def test_unreachable_target_takes_forever(self):
+        result = integrate_window(float(INITIAL_CWND), math.inf, RTT, 0.0,
+                                  bytes_limit=1e6)
+        assert result[1] == math.inf
+        assert identical(result, reference_integrate_window(
+            float(INITIAL_CWND), math.inf, RTT, 0.0, bytes_limit=1e6))
+
+
+class TestDeliveryCurve:
+    @given(_cwnds, _ssthreshes, _rtts, _bandwidths,
+           st.lists(_dt_limits, min_size=1, max_size=12))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_integrate_window(self, cwnd, ssthresh, rtt, bw, dts):
+        curve = delivery_curve(cwnd, ssthresh, rtt, bw)
+        for dt in dts:
+            assert identical(
+                [curve_delivered(curve, dt)],
+                [integrate_window(cwnd, ssthresh, rtt, bw, dt_limit=dt)[0]])
+
+    @given(_cwnds, _ssthreshes, _rtts, _bandwidths)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_across_every_phase(self, cwnd, ssthresh, rtt, bw):
+        """A geometric sweep from far inside slow start to long after the
+        window pins, each point with its float neighbours."""
+        curve = delivery_curve(cwnd, ssthresh, rtt, bw)
+        for k in range(-30, 60):
+            point = rtt * 1.25 ** k
+            for dt in (math.nextafter(point, 0.0), point,
+                       math.nextafter(point, math.inf)):
+                assert identical(
+                    [curve_delivered(curve, dt)],
+                    [integrate_window(cwnd, ssthresh, rtt, bw,
+                                      dt_limit=dt)[0]])
