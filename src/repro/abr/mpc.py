@@ -16,11 +16,13 @@ sketch is runnable; the adapter treats HYBRID like THROUGHPUT_BASED.
 The implementation brute-forces the level tree with one pruning rule
 (consecutive levels may differ by at most ``max_step``), which keeps the
 search exact for the paper-scale 5-level ladders while bounding cost.
+The per-step terms that do not depend on the buffer are tabulated once
+per decision, so a tree node costs a few float operations.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..dash.events import ChunkRecord
 from ..estimators import HarmonicMean
@@ -110,27 +112,60 @@ class Mpc(AbrAlgorithm):
     def _argmax_first(self, ctx: AbrContext, prediction: float,
                       bitrates, chunk_duration: float, steps: int,
                       current: int, max_step: Optional[int] = None) -> int:
+        """First level of the best level sequence over ``steps`` chunks.
+
+        Exact depth-first search of the tree: levels in ascending order
+        under each node, the first strictly better leaf wins.  Everything
+        a step needs that does not depend on the buffer is tabulated once
+        per decision: the step's quality-minus-switching term per
+        (previous, level) pair and its download time per (depth, level).
+        """
         if max_step is None:
             max_step = self.max_step
-        best = (-float("inf"), current)
+        num_levels = len(bitrates)
+        capacity = ctx.buffer_capacity
+        rebuffer_penalty = self.rebuffer_penalty
+        switch_penalty = self.switch_penalty
+        quality = [rate * 8.0 / 1e6 for rate in bitrates]  # Mbps, MPC's q()
+        gains = [[q - switch_penalty * abs(q - previous) for q in quality]
+                 for previous in quality]
+        first_index = ctx.next_chunk_index
+        downloads = [[self._chunk_size(ctx, level, first_index + depth,
+                                       bitrates, chunk_duration) / prediction
+                      for level in range(num_levels)]
+                     for depth in range(steps)]
+        neighbors = [self._neighbors(level, num_levels, max_step)
+                     for level in range(num_levels)]
+        last = steps - 1
+        best_qoe = -float("inf")
+        best_first = current
 
-        def recurse(depth: int, buffer_level: float, qoe: float,
-                    previous: int, first: Optional[int]) -> None:
-            nonlocal best
-            if depth == steps:
-                if qoe > best[0]:
-                    best = (qoe, first if first is not None else current)
+        def walk(depth: int, buffer_level: float, qoe: float,
+                 previous: int, first: int) -> None:
+            nonlocal best_qoe, best_first
+            times = downloads[depth]
+            gain = gains[previous]
+            if depth == last:
+                for level in neighbors[previous]:
+                    rebuffer = times[level] - buffer_level
+                    rebuffer = rebuffer if rebuffer > 0.0 else 0.0
+                    leaf = qoe + (gain[level] - rebuffer_penalty * rebuffer)
+                    if leaf > best_qoe:
+                        best_qoe = leaf
+                        best_first = level if first < 0 else first
                 return
-            for level in self._neighbors(previous, len(bitrates), max_step):
-                new_qoe, new_buffer = self._step(
-                    qoe, buffer_level, previous, level, bitrates,
-                    chunk_duration, prediction, ctx.buffer_capacity,
-                    ctx.next_chunk_index + depth, ctx)
-                recurse(depth + 1, new_buffer, new_qoe, level,
-                        level if first is None else first)
+            for level in neighbors[previous]:
+                download_time = times[level]
+                rebuffer = download_time - buffer_level
+                rebuffer = rebuffer if rebuffer > 0.0 else 0.0
+                left = buffer_level - download_time
+                left = (left if left > 0.0 else 0.0) + chunk_duration
+                walk(depth + 1, left if left < capacity else capacity,
+                     qoe + (gain[level] - rebuffer_penalty * rebuffer),
+                     level, level if first < 0 else first)
 
-        recurse(0, ctx.buffer_level, 0.0, current, None)
-        return best[1]
+        walk(0, ctx.buffer_level, 0.0, current, -1)
+        return best_first
 
     def _neighbors(self, level: int, num_levels: int,
                    max_step: Optional[int] = None) -> range:
@@ -139,25 +174,6 @@ class Mpc(AbrAlgorithm):
         low = max(0, level - max_step)
         high = min(num_levels - 1, level + max_step)
         return range(low, high + 1)
-
-    def _step(self, qoe: float, buffer_level: float, previous: int,
-              level: int, bitrates, chunk_duration: float, prediction: float,
-              capacity: float, chunk_index: int, ctx: AbrContext
-              ) -> Tuple[float, float]:
-        """Simulate downloading one chunk at ``level``; return updated QoE
-        and buffer."""
-        size = self._chunk_size(ctx, level, chunk_index, bitrates,
-                                chunk_duration)
-        download_time = size / prediction
-        rebuffer = max(0.0, download_time - buffer_level)
-        buffer_level = max(0.0, buffer_level - download_time)
-        buffer_level = min(capacity, buffer_level + chunk_duration)
-        quality = bitrates[level] * 8.0 / 1e6  # Mbps, the MPC q() choice
-        previous_quality = bitrates[previous] * 8.0 / 1e6
-        qoe += (quality
-                - self.switch_penalty * abs(quality - previous_quality)
-                - self.rebuffer_penalty * rebuffer)
-        return qoe, buffer_level
 
     def _chunk_size(self, ctx: AbrContext, level: int, chunk_index: int,
                     bitrates, chunk_duration: float) -> float:

@@ -61,6 +61,9 @@ def interface_energy(activity: ActivityLog, path: str,
     tail_time = profile.tail_time
     tail_power = profile.tail_power
     idle_power = profile.idle_power
+    # profile.active_power(), inlined below with its terms hoisted.
+    active_base = profile.active_base
+    downlink_per_mbps = profile.downlink_per_mbps
     # Per-state sums, each accumulated in burst order; conditional
     # expressions stand in for max(0.0, x) and min(gap, tail_time).
     active_j = tail_j = idle_j = promotion_j = 0.0
@@ -86,7 +89,10 @@ def interface_energy(activity: ActivityLog, path: str,
         else:
             idle_j += (start if start > 0.0 else 0.0) * idle_power
         throughput_mbps = num_bytes * 8.0 / 1e6 / width
-        active_j += profile.active_power(throughput_mbps) * width
+        if throughput_mbps < 0:
+            raise ValueError(
+                f"throughput cannot be negative: {throughput_mbps!r}")
+        active_j += (active_base + downlink_per_mbps * throughput_mbps) * width
         last_burst_end = end
         promoted_until = end + tail_time
 

@@ -9,6 +9,7 @@ state (the paper's Figure 6 contrasts exactly these patterns).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.bus import EventBus, Handler
@@ -18,9 +19,12 @@ from ..obs.events import PacketSent
 class ActivityLog:
     """Bytes per path per fixed-width time bin.
 
-    Lives either standalone (tests feed it with :meth:`record`) or as a
-    subscriber of the session bus via :meth:`attach`, where it bins every
-    :class:`~repro.obs.events.PacketSent` the transport publishes.
+    A live connection fills its own log directly as each bin closes (see
+    :meth:`~repro.mptcp.connection.MptcpConnection._close_bins`).  Elsewhere
+    it lives standalone (fed with :meth:`record`) or as a subscriber of a
+    bus via :meth:`attach`, where it bins every
+    :class:`~repro.obs.events.PacketSent` published, e.g. on the replay of
+    a recorded trace.
     """
 
     def __init__(self, bin_width: float = 0.1):
@@ -36,8 +40,8 @@ class ActivityLog:
         connections may share a simulator, e.g. behind a splitting proxy).
         Returns the handler so callers can ``bus.unsubscribe`` it.
         """
-        # :meth:`record` inlined: this is the hottest subscription in a
-        # session (one call per path per activity bin).
+        # :meth:`record` inlined: one call per path per activity bin of
+        # the stream (a live connection bins its own deliveries instead).
         bin_width = self.bin_width
         bins = self._bins
         if conn is None:
@@ -107,11 +111,15 @@ class ActivityLog:
         return times, [v / self.bin_width for v in values]
 
     def bytes_between(self, path: str, start: float, end: float) -> float:
-        """Bytes carried by ``path`` in the half-open window [start, end)."""
+        """Bytes carried by ``path`` in the half-open window [start, end).
+
+        At bin resolution: every bin that overlaps the window counts in
+        full, and the bin that starts at ``end`` does not.
+        """
         if end <= start:
             return 0.0
         first = int(start / self.bin_width)
-        last = int(end / self.bin_width)
+        last = int(math.nextafter(end, -math.inf) / self.bin_width)
         per_path = self._bins.get(path, {})
         return sum(per_path.get(i, 0.0) for i in range(first, last + 1)
                    if per_path.get(i))

@@ -20,15 +20,15 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..estimators import ThroughputEstimator
 from ..net.link import Path
 from ..net.simulator import Simulator, Timer
 from ..net.tcp import curve_delivered, delivery_curve
-from ..obs.events import (PathStateRequested, SubflowStateChange,
-                          TransferCompleted, TransferStarted,
-                          new_packet_sent)
+from ..obs.events import (PacketSent, PathStateRequested,
+                          SubflowStateChange, TransferCompleted,
+                          TransferStarted, new_packet_sent)
 from .activity import ActivityLog
 from .options import SignalChannel
 from .schedulers import MptcpScheduler, make_scheduler
@@ -203,16 +203,16 @@ class MptcpConnection:
         self._by_name = {sf.name: sf for sf in self.subflows}
         self.scheduler: MptcpScheduler = make_scheduler(scheduler)
         self.controller: Optional[PathController] = None
+        # Filled by :meth:`_close_bins`, not by a bus subscription.
         self.activity = ActivityLog(activity_bin)
-        self.activity.attach(self.bus, conn=self.id)
         self._bin_width = self.activity.bin_width
         # Last *effective* (server-side) and last *requested* (client-side)
         # state per path, for flip detection on the bus.
         self._effective = {p.name: p.enabled for p in paths}
         self._requested = {p.name: p.enabled for p in paths}
-        # Open PacketSent aggregates: path -> [bin_index, first_time,
-        # bytes].  Flushed when the path's deliveries cross into the next
-        # activity bin, and on close().
+        # Open activity bins: path -> [bin_index, first_time, bytes].
+        # Closed when the path's deliveries cross into the next activity
+        # bin, and on close().
         self._open_bins: Dict[str, list] = {}
         # The primary path carries the DSS signaling; default delay one
         # primary-path RTT (pass 0 to study instantaneous signaling).
@@ -403,7 +403,6 @@ class MptcpConnection:
             allocation = self.scheduler.allocate(transfer.sendable, enabled,
                                                  budgets)
             bin_index = int(now / self._bin_width)
-            open_bins = self._open_bins
             for subflow in enabled:
                 delivered = allocation.get(subflow.name, 0.0)
                 if delivered <= 0:
@@ -411,17 +410,7 @@ class MptcpConnection:
                 subflow.account(delivered, dt,
                                 budget=budgets.get(subflow.name))
                 transfer.add(subflow.name, delivered)
-                pending = open_bins.get(subflow.name)
-                if pending is None:
-                    open_bins[subflow.name] = [bin_index, now, delivered]
-                elif pending[0] == bin_index:
-                    pending[2] += delivered
-                else:
-                    self.bus.publish(new_packet_sent(
-                        pending[1], subflow.name, pending[2], self.id))
-                    pending[0] = bin_index
-                    pending[1] = now
-                    pending[2] = delivered
+                self._emit_bin(subflow.name, bin_index, now, delivered)
             if transfer.complete:
                 self._finish(transfer)
                 transfer = self._active  # may be None now
@@ -542,18 +531,43 @@ class MptcpConnection:
 
     def _emit_bin(self, name: str, index: int, time: float,
                   delivered: float) -> None:
-        """Merge an analytic delivery step into the open PacketSent bins."""
+        """Merge one delivery step into ``name``'s open activity bin."""
         pending = self._open_bins.get(name)
         if pending is None:
             self._open_bins[name] = [index, time, delivered]
         elif pending[0] == index:
             pending[2] += delivered
         else:
-            self.bus.publish(new_packet_sent(pending[1], name, pending[2],
-                                             self.id))
+            self._close_bins(name, ((pending[1], pending[2]),))
             pending[0] = index
             pending[1] = time
             pending[2] = delivered
+
+    def _close_bins(self, name: str,
+                    closed: Sequence[Tuple[float, float]]) -> None:
+        """The one sink for ``name``'s finished ``(first_time, bytes)``
+        activity bins, in delivery order.
+
+        Each bin lands in :attr:`activity` exactly as an attached
+        :meth:`ActivityLog.attach` handler would bin its ``PacketSent``
+        (same ``int(time / bin_width)`` index, same add order).  The
+        event itself is built and published only when the bus has a
+        ``PacketSent`` subscriber; otherwise the publish is just counted,
+        so ``bus.published`` does not depend on who listens.
+        """
+        bins = self.activity._bins.setdefault(name, {})
+        width = self._bin_width
+        bus = self.bus
+        observed = bus.observes(PacketSent)
+        for time, delivered in closed:
+            index = int(time / width)
+            bins[index] = bins.get(index, 0.0) + delivered
+            if observed:
+                bus.publish(new_packet_sent(time, name, delivered, self.id))
+        if not observed:
+            # Unobserved, no handler runs in the loop, so none could have
+            # subscribed mid-batch: the count is all that is owed.
+            bus.published += len(closed)
 
     def _advance_to(self, target: float) -> None:
         """Advance all subflow state from the watermark to ``target``.
@@ -626,7 +640,8 @@ class MptcpConnection:
                     # The whole span flows at full potential.
                     for sf in senders:
                         delivered = sf.deliver_analytic(
-                            t0, t1, self._bin_width, self._emit_bin)
+                            t0, t1, self._bin_width, self._open_bins,
+                            self._emit_bin, self._close_bins)
                         active.add(sf.name, delivered)
                     if t1 < target:
                         self._completion = None
@@ -639,7 +654,8 @@ class MptcpConnection:
                 t_end = t0 + self._solve_span(senders, t0, span, sendable)
                 for sf in senders:
                     delivered = sf.deliver_analytic(
-                        t0, t_end, self._bin_width, self._emit_bin)
+                        t0, t_end, self._bin_width, self._open_bins,
+                        self._emit_bin, self._close_bins)
                     active.add(sf.name, delivered)
                 self._advanced_to = t_end
                 if active.complete:
@@ -755,7 +771,7 @@ class MptcpConnection:
         return now + self._solve_span(senders, now, span, sendable)
 
     def flush_activity(self) -> None:
-        """Publish any open per-path ``PacketSent`` aggregates.
+        """Close every path's open activity bin (see :meth:`_close_bins`).
 
         Until a path's deliveries cross into the next activity bin, its
         current bin rides in the connection; callers reading the activity
@@ -764,8 +780,7 @@ class MptcpConnection:
         """
         for name, pending in self._open_bins.items():
             if pending[2] > 0:
-                self.bus.publish(new_packet_sent(pending[1], name,
-                                                 pending[2], self.id))
+                self._close_bins(name, ((pending[1], pending[2]),))
         self._open_bins.clear()
 
     def close(self) -> None:

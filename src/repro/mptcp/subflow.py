@@ -8,7 +8,7 @@ the energy model.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from ..estimators import HoltWinters, ThroughputEstimator
 from ..net.link import Path
@@ -140,16 +140,25 @@ class Subflow:
         return self.tcp.pinned_rate(now, self.path.bandwidth_at(now))
 
     def deliver_analytic(self, start: float, end: float, bin_width: float,
-                         emit) -> float:
+                         open_bins: Dict[str, list], emit, close) -> float:
         """Commit continuous network-limited sending over ``[start, end]``.
 
         Advances the TCP window in closed form, feeds the throughput
         estimator one sample per ``_sample_interval`` of busy time (the
         same cadence :meth:`account` produces under the tick kernel), and
-        reports per-activity-bin byte totals through
-        ``emit(name, bin_index, bin_start_time, bytes)``.  Returns the
+        bins the bytes into the connection's activity bins.  Returns the
         total bytes delivered.  Bandwidth is read once at ``start``;
         callers bound the span by the next trace breakpoint.
+
+        ``open_bins`` maps a path to its open bin ``[bin_index,
+        first_time, bytes]``, where ``first_time`` is the bin's first
+        delivery instant.  Each step is merged through
+        ``emit(name, bin_index, time, bytes)``, which closes a finished
+        bin on the spot (a window step may publish ``CwndRestarted`` in
+        between).  Once the window is pinned nothing else publishes, so
+        that stretch merges into ``open_bins`` in place and hands the bins
+        it finishes to ``close(name, [(first_time, bytes), ...])`` in one
+        call.
         """
         if end <= start:
             return 0.0
@@ -165,44 +174,11 @@ class Subflow:
         index = int(start / bin_width)
         interval = self._sample_interval
         while t < end - 1e-12:
-            # Once the window is pinned at the ceiling it stays there for
-            # the rest of the span (bandwidth is constant within it), so
-            # the remainder is linear delivery at ``bw``: walk it one
-            # activity bin at a time, folding the estimator's busy-time
-            # samples in closed form instead of splitting steps at every
-            # sample boundary.
             last = tcp.last_send_time
             if (last is not None and not t - last > rto
                     and tcp.cwnd == pinned_cwnd):
-                estimator = self.estimator
-                while t < end - 1e-12:
-                    bin_end = (index + 1) * bin_width
-                    step_end = bin_end if bin_end < end else end
-                    dt = step_end - t
-                    delta = bw * dt
-                    self.total_bytes += delta
-                    total += delta
-                    if delta > 0:
-                        busy = self._sample_busy + dt
-                        if busy >= interval - 1e-12:
-                            head = interval - self._sample_busy
-                            estimator.update((self._sample_bytes
-                                              + bw * head) / interval)
-                            busy -= interval
-                            while busy >= interval - 1e-12:
-                                estimator.update(bw)
-                                busy -= interval
-                            self._sample_busy = busy if busy > 0.0 else 0.0
-                            self._sample_bytes = bw * self._sample_busy
-                        else:
-                            self._sample_busy = busy
-                            self._sample_bytes += delta
-                        emit(name, index, t, delta)
-                    t = step_end
-                    if step_end >= bin_end - 1e-12:
-                        index += 1
-                tcp.last_send_time = end
-                return total
+                return self._deliver_pinned(t, end, bw, index, bin_width,
+                                            total, open_bins, close)
             bin_end = (index + 1) * bin_width
             sample_end = t + (interval - self._sample_busy)
             step_end = min(end, bin_end, sample_end)
@@ -223,6 +199,75 @@ class Subflow:
             t = step_end
             if step_end >= bin_end - 1e-12:
                 index += 1
+        return total
+
+    def _deliver_pinned(self, t: float, end: float, bw: float, index: int,
+                        bin_width: float, total: float,
+                        open_bins: Dict[str, list], close) -> float:
+        """The rest of :meth:`deliver_analytic` once the window is pinned.
+
+        The window stays at the ceiling for the rest of the span
+        (bandwidth is constant within it), so delivery is linear at
+        ``bw``: walk it one activity bin at a time, folding the
+        estimator's busy-time samples in closed form instead of splitting
+        steps at every sample boundary.  Byte counters, the sample
+        accumulator and the open bin live in locals, which changes no
+        float operation and no order: the results are bit-identical to
+        updating the attributes at every step.
+        """
+        update = self.estimator.update
+        interval = self._sample_interval
+        total_bytes = self.total_bytes
+        sample_busy = self._sample_busy
+        sample_bytes = self._sample_bytes
+        name = self.path.name
+        pending = open_bins.get(name)
+        if pending is None:
+            open_index = None
+            open_time = open_bytes = 0.0
+        else:
+            open_index, open_time, open_bytes = pending
+        closed = []
+        while t < end - 1e-12:
+            bin_end = (index + 1) * bin_width
+            step_end = bin_end if bin_end < end else end
+            dt = step_end - t
+            delta = bw * dt
+            total_bytes += delta
+            total += delta
+            if delta > 0:
+                busy = sample_busy + dt
+                if busy >= interval - 1e-12:
+                    update((sample_bytes + bw * (interval - sample_busy))
+                           / interval)
+                    busy -= interval
+                    while busy >= interval - 1e-12:
+                        update(bw)
+                        busy -= interval
+                    sample_busy = busy if busy > 0.0 else 0.0
+                    sample_bytes = bw * sample_busy
+                else:
+                    sample_busy = busy
+                    sample_bytes += delta
+                if index == open_index:
+                    open_bytes += delta
+                else:
+                    if open_index is not None:
+                        closed.append((open_time, open_bytes))
+                    open_index = index
+                    open_time = t
+                    open_bytes = delta
+            t = step_end
+            if step_end >= bin_end - 1e-12:
+                index += 1
+        self.total_bytes = total_bytes
+        self._sample_busy = sample_busy
+        self._sample_bytes = sample_bytes
+        if open_index is not None:
+            open_bins[name] = [open_index, open_time, open_bytes]
+        if closed:
+            close(name, closed)
+        self.tcp.last_send_time = end
         return total
 
     def grow_analytic(self, start: float, end: float) -> None:

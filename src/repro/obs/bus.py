@@ -10,6 +10,14 @@ property the byte-identical trace-export guarantee rests on.
 The publish hot path is one dict lookup plus the handler calls (the
 typed-then-wildcard handler list is cached per event class), so an
 unobserved layer costs almost nothing beyond constructing the event.
+
+A producer can skip even that: :meth:`EventBus.observes` reads the same
+cached list and says whether a publish would reach any handler.  The
+transport uses it for ``PacketSent`` (one per path per activity bin):
+with no subscriber it builds no event and only increments
+``published``, so the count is the same either way.
+:class:`~repro.obs.profile.ProfiledBus` always answers True, so a
+profiled run still times every event.
 """
 
 from __future__ import annotations
@@ -90,6 +98,27 @@ class EventBus:
     # ------------------------------------------------------------------
     # Publication
     # ------------------------------------------------------------------
+    def _cache_dispatch(self, event_type: Type[TraceEvent]
+                        ) -> List[Handler]:
+        """Build and cache ``event_type``'s typed-then-wildcard list."""
+        handlers = self._by_type.get(event_type, []) + self._all
+        self._dispatch[event_type] = handlers
+        return handlers
+
+    def observes(self, event_type: Type[TraceEvent]) -> bool:
+        """Whether publishing an ``event_type`` event right now would
+        reach any handler (typed or wildcard).
+
+        A producer whose event is costly to build may skip building it
+        when this is False, as long as it still counts the publish in
+        :attr:`published`.  Ask at each publish, not once: subscriptions
+        can change at any time.
+        """
+        handlers = self._dispatch.get(event_type)
+        if handlers is None:
+            handlers = self._cache_dispatch(event_type)
+        return bool(handlers)
+
     def publish(self, event: TraceEvent) -> None:
         """Deliver ``event`` to typed then wildcard subscribers, in
         subscription order.  Handlers may publish further events (delivered
@@ -98,8 +127,7 @@ class EventBus:
         self.published += 1
         handlers = self._dispatch.get(event.__class__)
         if handlers is None:
-            handlers = self._by_type.get(event.__class__, []) + self._all
-            self._dispatch[event.__class__] = handlers
+            handlers = self._cache_dispatch(event.__class__)
         for handler in handlers:
             handler(event)
 

@@ -57,7 +57,10 @@ class PacketSent(TraceEvent):
     instant (strictly increasing per path).  An event is published when
     the path's next delivery lands in a later bin, and any open bins are
     flushed by :meth:`~repro.mptcp.connection.MptcpConnection.close` — so
-    the stream as a whole is *not* time-sorted, only per-path.
+    the stream as a whole is *not* time-sorted, only per-path.  With no
+    ``PacketSent`` subscriber on the bus the event is counted in
+    ``published`` but never built (see
+    :meth:`~repro.obs.bus.EventBus.observes`).
     """
 
     path: str
@@ -487,7 +490,7 @@ def fast_ctor(cls: type) -> Any:
 
     Frozen dataclasses route every ``__init__`` field assignment through
     ``object.__setattr__``, roughly tripling construction cost.  That is
-    irrelevant everywhere except the per-subflow-per-tick transport events
+    irrelevant everywhere except the per-path-per-bin transport events
     (thousands per simulated session), where it dominates the bus's
     overhead.  Assigning through the slot descriptors directly skips the
     frozen guard during construction only — instances are as immutable as
@@ -505,6 +508,6 @@ def fast_ctor(cls: type) -> Any:
     return namespace["ctor"]
 
 
-#: Fast constructor for the hottest event on the bus (one per subflow per
-#: simulator tick while a transfer is active).
+#: Fast constructor for the hottest event on the bus (one per path per
+#: activity bin while a transfer is active).
 new_packet_sent = fast_ctor(PacketSent)

@@ -182,13 +182,17 @@ class ProfiledBus(EventBus):
         super().__init__()
         self.profiler = profiler if profiler is not None else Profiler()
 
+    def observes(self, event_type: type) -> bool:
+        """Always True: every event is built and published, so the
+        profile times even the ones no handler sees."""
+        return True
+
     def publish(self, event: TraceEvent) -> None:
         self.published += 1
         cls = event.__class__
         handlers = self._dispatch.get(cls)
         if handlers is None:
-            handlers = self._by_type.get(cls, []) + self._all
-            self._dispatch[cls] = handlers
+            handlers = self._cache_dispatch(cls)
         profiler = self.profiler
         started = perf_counter()
         for handler in handlers:

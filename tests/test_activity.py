@@ -57,10 +57,20 @@ class TestSeries:
         assert rates[0] == pytest.approx(200.0)
 
     def test_bytes_between(self):
+        """Half-open window: the bin starting at ``end`` is left out."""
         log = ActivityLog(1.0)
         for t in range(5):
             log.record(t + 0.5, "wifi", 10.0)
-        assert log.bytes_between("wifi", 1.0, 3.0) == pytest.approx(30.0)
+        assert log.bytes_between("wifi", 1.0, 3.0) == pytest.approx(20.0)
+
+    def test_bytes_between_mid_bin_end(self):
+        """A bin that ``end`` cuts through overlaps the window: it counts."""
+        log = ActivityLog(1.0)
+        for t in range(5):
+            log.record(t + 0.5, "wifi", 10.0)
+        assert log.bytes_between("wifi", 1.0, 2.5) == pytest.approx(20.0)
+        assert log.bytes_between("wifi", 1.0, 2.0) == pytest.approx(10.0)
+        assert log.bytes_between("wifi", 0.5, 4.01) == pytest.approx(50.0)
 
     def test_bytes_between_empty_window(self):
         log = ActivityLog(1.0)
