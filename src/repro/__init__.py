@@ -16,21 +16,39 @@ Quick start::
     print(result.metrics.cellular_bytes, result.metrics.radio_energy)
 """
 
-from .abr import abr_names, make_abr
-from .analysis import MultipathVideoAnalyzer, SessionMetrics
-from .core import (DeadlineAwareScheduler, MpDashAdapter, MpDashSocket,
-                   Preference, prefer_cellular, prefer_wifi, simulate_online,
-                   simulate_oracle, solve_offline)
-from .dash import DashPlayer, DashServer, Manifest, VideoAsset
-from .experiments import (FileDownloadConfig, SchemeComparison, SessionConfig,
-                          SessionResult, SessionSummary, SweepResult,
-                          expand_grid, run_file_download, run_schemes,
-                          run_session, run_sweep)
-from .mptcp import MptcpConnection
-from .net import (BandwidthTrace, Path, Simulator, cellular_path, mbps,
-                  wifi_path)
-from .workloads import (MobilityScenario, field_study_locations,
-                        table1_profiles, video_asset)
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .abr import abr_names, make_abr
+    from .analysis.analyzer import MultipathVideoAnalyzer
+    from .analysis.metrics import SessionMetrics
+    from .core.adapter import MpDashAdapter
+    from .core.offline import solve_offline
+    from .core.policy import Preference, prefer_cellular, prefer_wifi
+    from .core.scheduler import DeadlineAwareScheduler
+    from .core.socket_api import MpDashSocket
+    from .core.tracesim import simulate_online, simulate_oracle
+    from .dash.manifest import Manifest
+    from .dash.media import VideoAsset
+    from .dash.player import DashPlayer
+    from .dash.server import DashServer
+    from .experiments.compare import SchemeComparison, run_schemes
+    from .experiments.configs import FileDownloadConfig, SessionConfig
+    from .experiments.runner import (SessionResult, run_file_download,
+                                     run_session)
+    from .experiments.sweep import (SessionSummary, SweepResult,
+                                    expand_grid, run_sweep)
+    from .mptcp.connection import MptcpConnection
+    from .net.link import Path, cellular_path, wifi_path
+    from .net.simulator import Simulator
+    from .net.trace import BandwidthTrace
+    from .net.units import mbps
+    from .workloads.locations import field_study_locations
+    from .workloads.mobility import MobilityScenario
+    from .workloads.synthetic import table1_profiles
+    from .workloads.videos import video_asset
 
 __version__ = "1.0.0"
 
@@ -46,3 +64,35 @@ __all__ = [
     "run_session", "run_sweep", "simulate_online", "simulate_oracle",
     "solve_offline", "table1_profiles", "video_asset", "wifi_path",
 ]
+
+_EXPORTS = {
+    ".abr": ("abr_names", "make_abr"),
+    ".analysis.analyzer": ("MultipathVideoAnalyzer",),
+    ".analysis.metrics": ("SessionMetrics",),
+    ".core.adapter": ("MpDashAdapter",),
+    ".core.offline": ("solve_offline",),
+    ".core.policy": ("Preference", "prefer_cellular", "prefer_wifi"),
+    ".core.scheduler": ("DeadlineAwareScheduler",),
+    ".core.socket_api": ("MpDashSocket",),
+    ".core.tracesim": ("simulate_online", "simulate_oracle"),
+    ".dash.manifest": ("Manifest",),
+    ".dash.media": ("VideoAsset",),
+    ".dash.player": ("DashPlayer",),
+    ".dash.server": ("DashServer",),
+    ".experiments.compare": ("SchemeComparison", "run_schemes"),
+    ".experiments.configs": ("FileDownloadConfig", "SessionConfig"),
+    ".experiments.runner": ("SessionResult", "run_file_download",
+                            "run_session"),
+    ".experiments.sweep": ("SessionSummary", "SweepResult", "expand_grid",
+                           "run_sweep"),
+    ".mptcp.connection": ("MptcpConnection",),
+    ".net.link": ("Path", "cellular_path", "wifi_path"),
+    ".net.simulator": ("Simulator",),
+    ".net.trace": ("BandwidthTrace",),
+    ".net.units": ("mbps",),
+    ".workloads.locations": ("field_study_locations",),
+    ".workloads.mobility": ("MobilityScenario",),
+    ".workloads.synthetic": ("table1_profiles",),
+    ".workloads.videos": ("video_asset",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,8 +8,19 @@ here against the same :class:`~repro.core.socket_api.MpDashSocket` API the
 video adapter uses.
 """
 
-from .music import MusicPrefetcher, PlaylistTrack
-from .navigation import NavigationPrefetcher, RouteTile
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .music import MusicPrefetcher, PlaylistTrack
+    from .navigation import NavigationPrefetcher, RouteTile
 
 __all__ = ["MusicPrefetcher", "NavigationPrefetcher", "PlaylistTrack",
            "RouteTile"]
+
+_EXPORTS = {
+    ".music": ("MusicPrefetcher", "PlaylistTrack"),
+    ".navigation": ("NavigationPrefetcher", "RouteTile"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -44,39 +44,23 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from .abr import abr_names
-from .analysis.metrics import SessionMetrics
-from .analysis.report import session_report
-from .core.deadlines import DEADLINE_MODES, RATE_BASED
-from .experiments import (BASELINE, DURATION, FileDownloadConfig, FleetConfig,
-                          RATE, SessionConfig, expand_grid, run_file_download,
-                          run_fleet, run_schemes, run_session, run_sweep)
-from .experiments.tables import fleet_table, format_table, pct, sweep_table
-from .obs import (BenchReport, EventBus, FleetCheckpointSaved,
-                  FleetDashboard, FleetSessionCaptured,
-                  FleetShardCompleted, RecorderConfig, SweepDashboard,
-                  SweepRunFailed, SweepRunFinished, Trace,
-                  attribute_anomaly, attributions_from_trace,
-                  bench_report_html, check_trace, compare_meta,
-                  compare_reports, detect_drift, diff_traces,
-                  drift_table, dump_chrome_trace, dump_jsonl, gate_ok,
-                  history_report_html, load_jsonl,
-                  metrics_from_trace, registry_from_trace,
-                  render_attributions, render_span_tree, run_bench,
-                  session_report_html,
-                  spans_from_trace, stock_checkers,
-                  summarize_attributions, trend_document,
-                  triage_report_html, write_report)
-from .obs.ledger import RunLedger
-from .obs.spans import spans_to_dicts
-from .workloads import (ARRIVAL_MODELS, VIDEO_LADDERS,
-                        field_study_locations, video_names)
+if TYPE_CHECKING:
+    from .analysis.metrics import SessionMetrics
+    from .experiments.configs import SessionConfig
+    from .obs.trace_export import Trace
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Only the tables the options offer; each cmd_* imports what it
+    # runs, so --version and --help load no subsystem beyond these.
     from . import __version__
+    from .abr import abr_names
+    from .core.deadlines import DEADLINE_MODES, RATE_BASED
+    from .experiments.configs import BASELINE, DURATION, RATE
+    from .workloads.arrivals import ARRIVAL_MODELS
+    from .workloads.videos import video_names
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -476,6 +460,10 @@ def _positive_int(text: str) -> int:
 
 def _add_session_args(parser: argparse.ArgumentParser) -> None:
     """The shared run-one-session argument block (stats/spans/profile)."""
+    from .abr import abr_names
+    from .core.deadlines import DEADLINE_MODES, RATE_BASED
+    from .workloads.videos import video_names
+
     _add_network_args(parser)
     parser.add_argument("--video", default="big_buck_bunny",
                         choices=video_names())
@@ -509,6 +497,11 @@ def _add_network_args(parser: argparse.ArgumentParser) -> None:
 # Subcommands
 # ----------------------------------------------------------------------
 def cmd_stream(args: argparse.Namespace) -> int:
+    from .analysis.report import session_report
+    from .experiments.configs import SessionConfig
+    from .experiments.runner import run_session
+    from .experiments.tables import format_table, pct
+
     config = SessionConfig(
         video=args.video, abr=args.abr, mpdash=args.mpdash,
         deadline_mode=args.deadline_mode, alpha=args.alpha,
@@ -540,6 +533,10 @@ def cmd_stream(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .experiments.compare import run_schemes
+    from .experiments.configs import BASELINE, DURATION, RATE, SessionConfig
+    from .experiments.tables import format_table, pct
+
     base = SessionConfig(
         video=args.video, abr=args.abr, wifi_mbps=args.wifi,
         lte_mbps=args.lte, wifi_rtt_ms=args.wifi_rtt,
@@ -618,6 +615,14 @@ def _sweep_report(result) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .experiments.configs import SessionConfig
+    from .experiments.sweep import expand_grid, run_sweep
+    from .experiments.tables import sweep_table
+    from .obs.bench import BenchReport
+    from .obs.bus import EventBus
+    from .obs.events import SweepRunFailed, SweepRunFinished
+    from .obs.live import SweepDashboard
+
     base = SessionConfig(
         video=args.video, abr=args.abr, wifi_mbps=args.wifi,
         lte_mbps=args.lte, wifi_rtt_ms=args.wifi_rtt,
@@ -684,6 +689,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_download(args: argparse.Namespace) -> int:
+    from .experiments.configs import FileDownloadConfig
+    from .experiments.runner import run_file_download
+    from .experiments.tables import format_table, pct
+
     result = run_file_download(FileDownloadConfig(
         size=args.size_mb * 1e6, deadline=args.deadline,
         mpdash=not args.no_mpdash, alpha=args.alpha,
@@ -715,6 +724,8 @@ def _trace_summary(source: str, trace: Trace,
 
 
 def _print_trace_summary(summary: dict) -> None:
+    from .experiments.tables import format_table
+
     metrics = summary["metrics"]
     meta = summary["meta"]
     rows = [["events", summary["events"]["total"]],
@@ -737,6 +748,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ``--load`` to re-run the analyzer offline on an exported trace, and
     ``--diff`` to compare a second trace's metrics against the first.
     """
+    from .experiments.configs import SessionConfig
+    from .experiments.runner import run_session
+    from .experiments.tables import format_table
+    from .obs.trace_export import (Trace, dump_jsonl, load_jsonl,
+                                   metrics_from_trace)
+
     if args.load is not None:
         try:
             trace = load_jsonl(args.load)
@@ -800,6 +817,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def _session_config(args: argparse.Namespace, **overrides) -> SessionConfig:
     """A :class:`SessionConfig` from the shared session argument block."""
+    from .experiments.configs import SessionConfig
+
     return SessionConfig(
         video=args.video, abr=args.abr, mpdash=args.mpdash,
         deadline_mode=args.deadline_mode, alpha=args.alpha,
@@ -810,6 +829,10 @@ def _session_config(args: argparse.Namespace, **overrides) -> SessionConfig:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     """The standard metrics registry, live or rebuilt from a trace."""
+    from .experiments.runner import run_session
+    from .obs.metrics import registry_from_trace
+    from .obs.trace_export import load_jsonl
+
     if args.load is not None:
         try:
             trace = load_jsonl(args.load)
@@ -832,6 +855,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_spans(args: argparse.Namespace) -> int:
     """The causal span tree, live or rebuilt from a trace."""
+    from .experiments.runner import run_session
+    from .obs.spans import (dump_chrome_trace, render_span_tree,
+                            spans_from_trace, spans_to_dicts)
+    from .obs.trace_export import load_jsonl
+
     if args.load is not None:
         try:
             trace = load_jsonl(args.load)
@@ -858,6 +886,8 @@ def cmd_spans(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run one session under the profiler and print the hot-path report."""
+    from .experiments.runner import run_session
+
     result = run_session(_session_config(args), profile=True)
     profiler = result.profile
     if args.json:
@@ -874,6 +904,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     are reported but do not fail the check), 1 on ERROR violations, 2
     when a trace could not be loaded.
     """
+    from .experiments.runner import run_session
+    from .obs.check import check_trace, stock_checkers
+    from .obs.trace_export import load_jsonl
+
     checkers = stock_checkers(max_miss_rate=args.max_miss_rate,
                               max_stall_ratio=args.max_stall_ratio)
     if args.load is not None:
@@ -901,6 +935,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     Exit status: 0 clean, 1 when ``--compare`` found a regression, 2 on
     bad arguments or unreadable report files.
     """
+    from .obs.bench import (BenchReport, compare_meta, compare_reports,
+                            run_bench)
+    from .obs.report import bench_report_html, write_report
+
     if args.load is not None:
         try:
             report = BenchReport.load(args.load)
@@ -970,6 +1008,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     for the same session.  Without it, one session is run (recording a
     trace, the metrics registry, and spans) and rendered directly.
     """
+    from .experiments.runner import run_session
+    from .obs.report import session_report_html, write_report
+    from .obs.trace_export import load_jsonl
+
     if args.load is not None:
         try:
             trace = load_jsonl(args.load)
@@ -996,6 +1038,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     bounded) campaign, 1 when the engine gave up on a shard, 2 on bad
     arguments or a checkpoint belonging to a different campaign.
     """
+    from .experiments.fleet import FleetConfig, run_fleet
+    from .experiments.tables import fleet_table
+    from .obs.bus import EventBus
+    from .obs.events import (FleetCheckpointSaved, FleetSessionCaptured,
+                             FleetShardCompleted)
+    from .obs.live import FleetDashboard
+    from .obs.recorder import RecorderConfig
+
     try:
         config = FleetConfig(
             sessions=args.sessions, arrival=args.arrival,
@@ -1083,6 +1133,12 @@ def cmd_history(args: argparse.Namespace) -> int:
     on ERROR-severity drift).  Exit status: 0 clean, 1 gate failure,
     2 bad arguments or an unreadable ledger.
     """
+    from .experiments.tables import format_table
+    from .obs.bench import BenchReport
+    from .obs.drift import detect_drift, drift_table, gate_ok, trend_document
+    from .obs.ledger import RunLedger
+    from .obs.report import history_report_html, write_report
+
     action = "gate" if args.gate_flag else args.action
     load = RunLedger(args.ledger).load()
     for warning in load.warnings:
@@ -1259,6 +1315,7 @@ def cmd_triage(args: argparse.Namespace) -> int:
     """
     from .obs.recorder import (rank_anomalies, render_anomaly_reports,
                                replay_anomaly, triage_table)
+    from .obs.report import triage_report_html, write_report
 
     root, manifest = _resolve_manifest(args.record_dir, args.fleet_key,
                                        "repro triage")
@@ -1302,6 +1359,13 @@ def cmd_why(args: argparse.Namespace) -> int:
     Exit status: 0 on successful attribution (even when there is
     nothing to explain), 2 on unloadable traces or manifest problems.
     """
+    from .experiments.runner import run_session
+    from .obs.recorder import rank_anomalies
+    from .obs.trace_export import Trace, load_jsonl
+    from .obs.why import (attribute_anomaly, attributions_from_trace,
+                          diff_traces, render_attributions,
+                          summarize_attributions)
+
     if args.diff is not None:
         path_a, path_b = args.diff
         try:
@@ -1321,8 +1385,6 @@ def cmd_why(args: argparse.Namespace) -> int:
         return 0
 
     if args.record_dir is not None:
-        from .obs.recorder import rank_anomalies
-
         root, manifest = _resolve_manifest(
             args.record_dir, args.fleet_key, "repro why")
         if manifest is None:
@@ -1380,6 +1442,9 @@ def cmd_why(args: argparse.Namespace) -> int:
 
 
 def cmd_locations(_args: argparse.Namespace) -> int:
+    from .experiments.tables import format_table
+    from .workloads.locations import field_study_locations
+
     rows = [[loc.name, loc.scenario, loc.wifi_mbps, loc.wifi_rtt_ms,
              loc.lte_mbps, loc.lte_rtt_ms]
             for loc in field_study_locations()]
@@ -1391,6 +1456,9 @@ def cmd_locations(_args: argparse.Namespace) -> int:
 
 
 def cmd_videos(_args: argparse.Namespace) -> int:
+    from .experiments.tables import format_table
+    from .workloads.videos import VIDEO_LADDERS
+
     rows = [[name] + list(ladder)
             for name, ladder in sorted(VIDEO_LADDERS.items())]
     print(format_table(

@@ -1,15 +1,20 @@
 """DASH streaming stack: media model, manifest, HTTP, server, player."""
 
-from .buffer import PlaybackBuffer
-from .events import (ChunkRecord, PlayerEvent, PlayerEventLog, StallRecord,
-                     DOWNLOADED, MPDASH_ARMED, MPDASH_SKIPPED, PLAY_START,
-                     PLAYBACK_END, QUALITY_SWITCH, REQUEST, STALL_END,
-                     STALL_START)
-from .http import HttpClient, HttpRequest, HttpResponse
-from .manifest import Manifest, Representation
-from .media import QualityLevel, VideoAsset
-from .player import DashPlayer, PlayerAddon
-from .server import DashServer
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .buffer import PlaybackBuffer
+    from .events import (DOWNLOADED, MPDASH_ARMED, MPDASH_SKIPPED,
+                         PLAY_START, PLAYBACK_END, QUALITY_SWITCH, REQUEST,
+                         STALL_END, STALL_START, ChunkRecord, PlayerEvent,
+                         PlayerEventLog, StallRecord)
+    from .http import HttpClient, HttpRequest, HttpResponse
+    from .manifest import Manifest, Representation
+    from .media import QualityLevel, VideoAsset
+    from .player import DashPlayer, PlayerAddon
+    from .server import DashServer
 
 __all__ = [
     "ChunkRecord", "DashPlayer", "DashServer", "HttpClient", "HttpRequest",
@@ -19,3 +24,17 @@ __all__ = [
     "DOWNLOADED", "MPDASH_ARMED", "MPDASH_SKIPPED", "PLAY_START",
     "PLAYBACK_END", "QUALITY_SWITCH", "REQUEST", "STALL_END", "STALL_START",
 ]
+
+_EXPORTS = {
+    ".buffer": ("PlaybackBuffer",),
+    ".events": ("DOWNLOADED", "MPDASH_ARMED", "MPDASH_SKIPPED", "PLAY_START",
+                "PLAYBACK_END", "QUALITY_SWITCH", "REQUEST", "STALL_END",
+                "STALL_START", "ChunkRecord", "PlayerEvent",
+                "PlayerEventLog", "StallRecord"),
+    ".http": ("HttpClient", "HttpRequest", "HttpResponse"),
+    ".manifest": ("Manifest", "Representation"),
+    ".media": ("QualityLevel", "VideoAsset"),
+    ".player": ("DashPlayer", "PlayerAddon"),
+    ".server": ("DashServer",),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

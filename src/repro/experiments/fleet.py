@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -52,7 +51,7 @@ from ..obs.events import (FleetCheckpointSaved, FleetCompleted,
                           FleetSessionCaptured, FleetShardCompleted,
                           FleetStarted, FleetWorkerHeartbeat)
 from ..obs.metrics import (Histogram, MetricsRegistry, exponential_buckets,
-                           linear_buckets)
+                           linear_buckets, peak_rss_kb)
 from ..obs.recorder import (RecorderConfig, ShardRecorder, empty_stats,
                             merge_stats, rank_anomalies, save_manifest)
 from ..obs.why import fold_attributions
@@ -266,18 +265,6 @@ def fold_session(registry: MetricsRegistry, draw: SessionDraw,
                        ARRIVAL_HOUR_BOUNDS).observe(draw.arrival_hour)
 
 
-def _peak_rss_kb() -> int:
-    """This process's peak RSS in KiB (0 where unavailable)."""
-    try:
-        import resource
-    except ImportError:                                # pragma: no cover
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":                       # pragma: no cover
-        peak /= 1024  # ru_maxrss is bytes on macOS, KiB on Linux
-    return int(peak)
-
-
 @contextmanager
 def _scheduler_fault() -> Iterator[None]:
     """Break Algorithm 1 for the duration: every transfer start arms the
@@ -372,7 +359,7 @@ def _run_shard(config: FleetConfig, shard: int,
             "sim_seconds": sim_seconds,
             "registry": registry.to_dict(),
             "elapsed": time.perf_counter() - began,
-            "worker": os.getpid(), "peak_rss_kb": _peak_rss_kb(),
+            "worker": os.getpid(), "peak_rss_kb": peak_rss_kb() or 0,
             "last_index": last_index,
             "recorder": rec.payload() if rec is not None else None}
 

@@ -43,60 +43,72 @@ The presentation layer sits on top of the derived views:
 into self-contained single-file HTML documents (pure functions of their
 inputs — live and offline rendering are byte-identical), and
 :mod:`repro.obs.live` draws a live terminal dashboard during sweeps.
+
+The names below resolve on first use (see :mod:`repro._lazy`): importing
+``repro.obs`` — which every instrumented layer does — loads none of
+these modules, so a run that observes nothing never loads the reporting
+stack.
 """
 
-from .bench import (BenchReport, BenchResult, MetaMismatch, compare_meta,
-                    compare_reports, run_bench, run_scenario)
-from .bus import EventBus
-from .drift import (DriftFinding, control_track, detect_drift,
-                    drift_table, gate_ok, metric_direction, metric_series,
-                    trend_document)
-from .check import (ERROR, INFO, SEVERITIES, WARNING, Checker, CheckReport,
-                    InvariantMonitor, Violation, check_trace,
-                    stock_checkers)
-from .events import (EVENT_TYPES, RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL,
-                     ChunkDownloaded, ChunkRequested,
-                     CwndRestarted, DeadlineArmed, DeadlineDisarmed,
-                     DeadlineExtended, DeadlineMissed, FleetCheckpointSaved,
-                     FleetCompleted, FleetSessionCaptured,
-                     FleetShardCompleted, FleetStarted,
-                     FleetWorkerHeartbeat, HttpRequestSent,
-                     HttpResponseReceived, MpDashArmed, MpDashSkipped,
-                     PacketSent, PathSampled, PathStateRequested,
-                     PlaybackEnded, PlaybackStarted, QualitySwitched,
-                     RadioStateChange, SchedulerActivated, SessionClosed,
-                     StallEnd, StallStart, SubflowReconnected,
-                     SubflowStateChange, SweepCompleted, SweepRunFailed,
-                     SweepRunFinished, SweepRunStarted, SweepRunSummarized,
-                     SweepStarted, TraceEvent, TransferCompleted,
-                     TransferStarted, event_from_dict, event_to_dict)
-from .ledger import (ENTRY_KINDS, LEDGER_SCHEMA, LedgerEntry, LedgerLoad,
-                     RunLedger, bench_entry, environment_fingerprint,
-                     fleet_entry, registry_digest, session_entry,
-                     sweep_entry)
-from .live import FleetDashboard, SweepDashboard
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      PathSampler, SessionMetricsCollector, Timeseries,
-                      collector_from_trace, exponential_buckets,
-                      linear_buckets, metric_from_dict, registry_from_trace)
-from .profile import ProfiledBus, Profiler
-from .recorder import (REASON_ORDER, RecorderConfig, ShardRecorder,
-                       find_manifests, load_manifest, rank_anomalies,
-                       render_anomaly_reports, replay_anomaly,
-                       save_manifest, triage_table)
-from .report import (bench_report_html, fleet_report_html,
-                     history_report_html, session_report_html,
-                     sweep_report_html, triage_report_html, write_report)
-from .spans import (Span, SpanBuilder, dump_chrome_trace, render_span_tree,
-                    spans_from_trace, to_chrome_trace, transfer_chunk_map)
-from .trace_export import (Trace, TraceMeta, TraceRecorder,
-                           analyzer_from_trace, dump_jsonl, dumps_jsonl,
-                           gzip_bytes, load_jsonl, loads_jsonl,
-                           metrics_from_trace, replay)
-from .why import (Attribution, TraceDiff, attribute_anomaly,
-                  attributions_from_trace, diff_traces,
-                  fold_attributions, render_attributions,
-                  summarize_attributions)
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .bench import (BenchReport, BenchResult, MetaMismatch, compare_meta,
+                        compare_reports, run_bench, run_scenario)
+    from .bus import EventBus
+    from .drift import (DriftFinding, control_track, detect_drift,
+                        drift_table, gate_ok, metric_direction, metric_series,
+                        trend_document)
+    from .check import (ERROR, INFO, SEVERITIES, WARNING, Checker,
+                        CheckReport, InvariantMonitor, Violation,
+                        check_trace, stock_checkers)
+    from .events import (EVENT_TYPES, RADIO_ACTIVE, RADIO_IDLE, RADIO_TAIL,
+                         ChunkDownloaded, ChunkRequested,
+                         CwndRestarted, DeadlineArmed, DeadlineDisarmed,
+                         DeadlineExtended, DeadlineMissed,
+                         FleetCheckpointSaved, FleetCompleted,
+                         FleetSessionCaptured,
+                         FleetShardCompleted, FleetStarted,
+                         FleetWorkerHeartbeat, HttpRequestSent,
+                         HttpResponseReceived, MpDashArmed, MpDashSkipped,
+                         PacketSent, PathSampled, PathStateRequested,
+                         PlaybackEnded, PlaybackStarted, QualitySwitched,
+                         RadioStateChange, SchedulerActivated, SessionClosed,
+                         StallEnd, StallStart, SubflowReconnected,
+                         SubflowStateChange, SweepCompleted, SweepRunFailed,
+                         SweepRunFinished, SweepRunStarted, SweepRunSummarized,
+                         SweepStarted, TraceEvent, TransferCompleted,
+                         TransferStarted, event_from_dict, event_to_dict)
+    from .ledger import (ENTRY_KINDS, LEDGER_SCHEMA, LedgerEntry, LedgerLoad,
+                         RunLedger, bench_entry, environment_fingerprint,
+                         fleet_entry, registry_digest, session_entry,
+                         sweep_entry)
+    from .live import FleetDashboard, SweepDashboard
+    from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+                          PathSampler, SessionMetricsCollector, Timeseries,
+                          collector_from_trace, exponential_buckets,
+                          linear_buckets, metric_from_dict,
+                          registry_from_trace)
+    from .profile import ProfiledBus, Profiler
+    from .recorder import (REASON_ORDER, RecorderConfig, ShardRecorder,
+                           find_manifests, load_manifest, rank_anomalies,
+                           render_anomaly_reports, replay_anomaly,
+                           save_manifest, triage_table)
+    from .report import (bench_report_html, fleet_report_html,
+                         history_report_html, session_report_html,
+                         sweep_report_html, triage_report_html, write_report)
+    from .spans import (Span, SpanBuilder, dump_chrome_trace, render_span_tree,
+                        spans_from_trace, to_chrome_trace, transfer_chunk_map)
+    from .trace_export import (Trace, TraceMeta, TraceRecorder,
+                               analyzer_from_trace, dump_jsonl, dumps_jsonl,
+                               gzip_bytes, load_jsonl, loads_jsonl,
+                               metrics_from_trace, replay)
+    from .why import (Attribution, TraceDiff, attribute_anomaly,
+                      attributions_from_trace, diff_traces,
+                      fold_attributions, render_attributions,
+                      summarize_attributions)
 
 __all__ = [
     "ENTRY_KINDS", "ERROR", "EVENT_TYPES", "INFO", "LEDGER_SCHEMA",
@@ -147,3 +159,57 @@ __all__ = [
     "triage_report_html",
     "triage_table", "write_report",
 ]
+
+_EXPORTS = {
+    ".bench": ("BenchReport", "BenchResult", "MetaMismatch", "compare_meta",
+               "compare_reports", "run_bench", "run_scenario"),
+    ".bus": ("EventBus",),
+    ".drift": ("DriftFinding", "control_track", "detect_drift", "drift_table",
+               "gate_ok", "metric_direction", "metric_series",
+               "trend_document"),
+    ".check": ("ERROR", "INFO", "SEVERITIES", "WARNING", "Checker",
+               "CheckReport", "InvariantMonitor", "Violation", "check_trace",
+               "stock_checkers"),
+    ".events": ("EVENT_TYPES", "RADIO_ACTIVE", "RADIO_IDLE", "RADIO_TAIL",
+                "ChunkDownloaded", "ChunkRequested", "CwndRestarted",
+                "DeadlineArmed", "DeadlineDisarmed", "DeadlineExtended",
+                "DeadlineMissed", "FleetCheckpointSaved", "FleetCompleted",
+                "FleetSessionCaptured", "FleetShardCompleted", "FleetStarted",
+                "FleetWorkerHeartbeat", "HttpRequestSent",
+                "HttpResponseReceived", "MpDashArmed", "MpDashSkipped",
+                "PacketSent", "PathSampled", "PathStateRequested",
+                "PlaybackEnded", "PlaybackStarted", "QualitySwitched",
+                "RadioStateChange", "SchedulerActivated", "SessionClosed",
+                "StallEnd", "StallStart", "SubflowReconnected",
+                "SubflowStateChange", "SweepCompleted", "SweepRunFailed",
+                "SweepRunFinished", "SweepRunStarted", "SweepRunSummarized",
+                "SweepStarted", "TraceEvent", "TransferCompleted",
+                "TransferStarted", "event_from_dict", "event_to_dict"),
+    ".ledger": ("ENTRY_KINDS", "LEDGER_SCHEMA", "LedgerEntry", "LedgerLoad",
+                "RunLedger", "bench_entry", "environment_fingerprint",
+                "fleet_entry", "registry_digest", "session_entry",
+                "sweep_entry"),
+    ".live": ("FleetDashboard", "SweepDashboard"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry",
+                 "PathSampler", "SessionMetricsCollector", "Timeseries",
+                 "collector_from_trace", "exponential_buckets",
+                 "linear_buckets", "metric_from_dict", "registry_from_trace"),
+    ".profile": ("ProfiledBus", "Profiler"),
+    ".recorder": ("REASON_ORDER", "RecorderConfig", "ShardRecorder",
+                  "find_manifests", "load_manifest", "rank_anomalies",
+                  "render_anomaly_reports", "replay_anomaly", "save_manifest",
+                  "triage_table"),
+    ".report": ("bench_report_html", "fleet_report_html",
+                "history_report_html", "session_report_html",
+                "sweep_report_html", "triage_report_html", "write_report"),
+    ".spans": ("Span", "SpanBuilder", "dump_chrome_trace", "render_span_tree",
+               "spans_from_trace", "to_chrome_trace", "transfer_chunk_map"),
+    ".trace_export": ("Trace", "TraceMeta", "TraceRecorder",
+                      "analyzer_from_trace", "dump_jsonl", "dumps_jsonl",
+                      "gzip_bytes", "load_jsonl", "loads_jsonl",
+                      "metrics_from_trace", "replay"),
+    ".why": ("Attribution", "TraceDiff", "attribute_anomaly",
+             "attributions_from_trace", "diff_traces", "fold_attributions",
+             "render_attributions", "summarize_attributions"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

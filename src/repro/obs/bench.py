@@ -20,24 +20,11 @@ from __future__ import annotations
 
 import json
 import platform
-import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Dict, IO, List, Mapping, Optional, Union
 
-try:  # pragma: no cover - resource is POSIX-only
-    import resource
-except ImportError:  # pragma: no cover
-    resource = None  # type: ignore[assignment]
-
-def _peak_rss_kb() -> Optional[int]:
-    """Process peak RSS in KiB (``ru_maxrss`` is KiB on Linux)."""
-    if resource is None:
-        return None
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if sys.platform == "darwin":  # pragma: no cover - reported in bytes
-        peak //= 1024
-    return int(peak)
+from .metrics import peak_rss_kb
 
 
 @dataclass(frozen=True)
@@ -286,7 +273,7 @@ def run_scenario(name: str, repeats: int = 1) -> BenchResult:
         scenario=name, wall_clock=wall, sim_seconds=sim_seconds,
         sim_per_wall=sim_seconds / wall, events=events,
         events_per_sec=(events / wall if events is not None else None),
-        peak_rss_kb=_peak_rss_kb(), repeats=repeats)
+        peak_rss_kb=peak_rss_kb(), repeats=repeats)
 
 
 def run_bench(scenarios: Optional[List[str]] = None, repeats: int = 1,

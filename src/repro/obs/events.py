@@ -31,7 +31,7 @@ energy         :class:`RadioStateChange`
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 
 @dataclass(frozen=True, slots=True)
@@ -461,14 +461,24 @@ EVENT_TYPES: Dict[str, type] = {
 }
 
 
+#: Field names per event class, in declaration order (filled on first use).
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+#: Field value types that are never a ``Mapping``: they skip the ABC check.
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
 def event_to_dict(event: TraceEvent) -> Dict[str, Any]:
     """Flat JSON-ready dict with a ``type`` discriminator."""
-    record: Dict[str, Any] = {"type": type(event).__name__}
-    for spec in fields(event):
-        value = getattr(event, spec.name)
-        if isinstance(value, Mapping):
+    cls = type(event)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(spec.name for spec in fields(cls))
+    record: Dict[str, Any] = {"type": cls.__name__}
+    for name in names:
+        value = getattr(event, name)
+        if type(value) not in _SCALARS and isinstance(value, Mapping):
             value = dict(value)
-        record[spec.name] = value
+        record[name] = value
     return record
 
 

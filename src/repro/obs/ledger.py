@@ -41,6 +41,8 @@ import platform
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from .metrics import peak_rss_kb
+
 #: Schema version stamped into every entry; loads skip (with a warning)
 #: entries written by a future schema.
 LEDGER_SCHEMA = 1
@@ -232,16 +234,10 @@ def _perf_metrics(wall_clock: Optional[float],
         out["wall_clock_seconds"] = float(wall_clock)
         if sim_seconds is not None:
             out["sim_per_wall"] = float(sim_seconds) / float(wall_clock)
-    peak = _peak_rss_kb()
+    peak = peak_rss_kb()
     if peak is not None:
         out["peak_rss_kb"] = float(peak)
     return out
-
-
-def _peak_rss_kb() -> Optional[int]:
-    from .bench import _peak_rss_kb as probe
-
-    return probe()
 
 
 def session_entry(result: Any, label: str = "",

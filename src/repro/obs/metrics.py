@@ -24,7 +24,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from typing import Any, Dict, List, Mapping, Optional, Tuple
+
+try:  # pragma: no cover - resource is POSIX-only
+    import resource
+except ImportError:  # pragma: no cover
+    resource = None  # type: ignore[assignment]
 
 from .bus import EventBus
 from .events import (ChunkDownloaded, ChunkRequested, CwndRestarted,
@@ -35,6 +41,17 @@ from .events import (ChunkDownloaded, ChunkRequested, CwndRestarted,
                      SchedulerActivated, SessionClosed, StallEnd, StallStart,
                      SubflowStateChange, TransferCompleted, TransferStarted,
                      fast_ctor)
+
+def peak_rss_kb() -> Optional[int]:
+    """This process's peak RSS in KiB (None where ``resource`` is
+    unavailable); ``ru_maxrss`` is KiB on Linux, bytes on macOS."""
+    if resource is None:  # pragma: no cover
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":  # pragma: no cover - reported in bytes
+        peak //= 1024
+    return int(peak)
+
 
 #: Label sets are small (path/state names), so labels are stored as sorted
 #: tuples of (key, value) pairs — hashable registry keys with a canonical

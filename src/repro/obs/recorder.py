@@ -159,9 +159,10 @@ class ShardRecorder:
         self.stats = empty_stats()
         self.records: List[Dict[str, Any]] = []
         self._kept: set = set()
-        #: Reservoir of (qoe, index, canonical trace text) for sessions
-        #: not otherwise captured — at most ``bottom_k`` entries live.
-        self._reservoir: List[Tuple[float, int, str]] = []
+        #: Reservoir of (qoe, index, events, trace meta) for sessions not
+        #: otherwise captured — at most ``bottom_k`` entries live.  Only
+        #: the survivors are serialized, at :meth:`flush`.
+        self._reservoir: List[Tuple[float, int, Sequence[Any], Any]] = []
 
     # ------------------------------------------------------------------
     def observe(self, index: int, result: Any) -> List[Any]:
@@ -215,14 +216,11 @@ class ShardRecorder:
                                   if attributions else None),
                   "error": None}
         if reasons:
-            text = dumps_jsonl(events, result.trace_meta)
-            self._keep(index, reasons, len(events), text, detail)
+            self._keep(index, reasons, events, result.trace_meta, detail)
         elif self.config.bottom_k and self._admits(qoe, index):
-            # Serialize lazily: only sessions actually entering the
-            # reservoir pay the dumps cost (most are dominated and skip
-            # it), which is what keeps the anomaly-free overhead small.
-            self._offer_reservoir(
-                qoe, index, dumps_jsonl(events, result.trace_meta))
+            # The reservoir holds the event stream itself: an entry a
+            # worse session evicts later is never serialized.
+            self._offer_reservoir(qoe, index, events, result.trace_meta)
         return attributions
 
     def record_failure(self, index: int, error: str) -> None:
@@ -244,12 +242,11 @@ class ShardRecorder:
 
     def flush(self) -> None:
         """Settle the reservoir: the surviving k worst become records."""
-        for qoe, index, text in sorted(self._reservoir,
-                                       key=lambda entry: entry[:2]):
+        for qoe, index, events, meta in sorted(self._reservoir,
+                                               key=lambda entry: entry[:2]):
             if index in self._kept:
                 continue
-            events = max(text.count("\n") - 1, 0)
-            self._keep(index, [REASON_BOTTOM], events, text,
+            self._keep(index, [REASON_BOTTOM], events, meta,
                        {"qoe": qoe, "misses": None, "stalls": None,
                         "bitrate_mbps": None, "stall_seconds": None,
                         "finished": True, "violations": None,
@@ -269,11 +266,12 @@ class ShardRecorder:
         worst = max(self._reservoir, key=lambda e: e[:2])
         return (qoe, index) < worst[:2]
 
-    def _offer_reservoir(self, qoe: float, index: int, text: str) -> None:
+    def _offer_reservoir(self, qoe: float, index: int,
+                         events: Sequence[Any], meta: Any) -> None:
         if len(self._reservoir) >= self.config.bottom_k:
             self._reservoir.remove(
                 max(self._reservoir, key=lambda e: e[:2]))
-        self._reservoir.append((qoe, index, text))
+        self._reservoir.append((qoe, index, events, meta))
 
     def _score(self, reason: str, detail: Mapping[str, Any]) -> float:
         """Reason-specific badness (higher = worse) for triage ranking."""
@@ -287,21 +285,21 @@ class ShardRecorder:
             return -float(detail.get("qoe") or 0.0)
         return 0.0
 
-    def _keep(self, index: int, reasons: List[str], events: int,
-              text: str, detail: Dict[str, Any]) -> None:
+    def _keep(self, index: int, reasons: List[str], events: Sequence[Any],
+              meta: Any, detail: Dict[str, Any]) -> None:
         reason = min(reasons, key=REASON_ORDER.index)
         artifact: Optional[str] = None
-        if events > self.config.max_events:
+        if len(events) > self.config.max_events:
             self.stats["oversized"] += 1
         else:
-            artifact = self._write(index, text)
+            artifact = self._write(index, dumps_jsonl(events, meta))
         self.stats["captured"] += 1
         self.stats["by_reason"][reason] += 1
         self._kept.add(index)
         record = {"index": index, "shard": self.shard, "reason": reason,
                   "reasons": sorted(reasons, key=REASON_ORDER.index),
                   "score": self._score(reason, detail),
-                  "artifact": artifact, "events": events}
+                  "artifact": artifact, "events": len(events)}
         record.update(detail)
         self.records.append(record)
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 from .bench import BenchReport, compare_reports
 from .check import ERROR, INFO, WARNING, CheckReport, check_trace
@@ -36,8 +35,8 @@ from .events import StallEnd, StallStart
 from .metrics import Histogram, MetricsRegistry, registry_from_trace
 from .spans import STATUS_MISSED, Span, spans_from_trace
 from .svg import (LaneSegment, Series, StripCell, bar_chart, cdf_chart,
-                  flame_lanes, histogram_chart, legend_html, line_chart,
-                  series_class, strip_chart)
+                  escape, flame_lanes, histogram_chart, legend_html,
+                  line_chart, series_class, strip_chart)
 from .trace_export import Trace, analyzer_from_trace
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 #: Categorical CSS classes in fixed assignment order (never cycled: a
 #: ninth series folds into the eighth slot rather than inventing a hue).
@@ -45,6 +44,16 @@ def fmt(value: float) -> str:
     if "." in text:
         text = text.rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
+
+
+def escape(text: str) -> str:
+    """Escape ``&``, ``<`` and ``>`` for markup text, ``&`` first.
+
+    The same replacements as ``xml.sax.saxutils.escape``, without that
+    module's import chain (``urllib.request``, ``http.client``,
+    ``email``)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace(
+        "<", "&lt;")
 
 
 def tick_label(value: float) -> str:

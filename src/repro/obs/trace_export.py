@@ -71,8 +71,13 @@ class TraceRecorder:
 # ----------------------------------------------------------------------
 # Serialization
 # ----------------------------------------------------------------------
+#: The canonical line encoder (what ``json.dumps(record, sort_keys=True,
+#: separators=(",", ":"))`` builds per call).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dump_line(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def dumps_jsonl(events: Iterable[TraceEvent], meta: TraceMeta) -> str:

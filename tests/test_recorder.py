@@ -13,6 +13,7 @@ from repro.obs import (EventBus, FleetSessionCaptured, FleetWorkerHeartbeat,
                        load_jsonl, load_manifest, rank_anomalies,
                        render_anomaly_reports, replay_anomaly, save_manifest,
                        triage_table)
+from repro.obs import recorder as recorder_module
 from repro.obs.events import StallStart
 from repro.obs.recorder import (REASON_ORDER, artifact_name, empty_stats,
                                 key_dir, merge_stats)
@@ -177,6 +178,61 @@ class TestShardRecorder:
         assert rec.stats["oversized"] == 1
         assert rec.stats["captured"] == 1
         assert rec.stats["bytes_written"] == 0
+
+    def _count_serializations(self, monkeypatch):
+        """Patch the recorder's serializer; returns the list of the
+        first event time of every stream it serializes."""
+        serialized = []
+        real = recorder_module.dumps_jsonl
+
+        def counting(events, meta):
+            serialized.append(events[0].time)
+            return real(events, meta)
+
+        monkeypatch.setattr(recorder_module, "dumps_jsonl", counting)
+        return serialized
+
+    def test_evicted_reservoir_entries_are_never_serialized(
+            self, tmp_path, monkeypatch):
+        serialized = self._count_serializations(monkeypatch)
+        rec = recorder(tmp_path, bottom_k=2)
+        # Each session is worse than the last, so every one enters the
+        # reservoir and all but the two worst are evicted again.
+        for index in range(6):
+            rec.observe(index, FakeResult(
+                bitrate=10.0 - index,
+                events=[StallStart(float(index)), StallStart(9.0)]))
+        assert serialized == []
+        rec.flush()
+        assert sorted(serialized) == [4.0, 5.0]
+        assert [r["index"] for r in rec.records] == [4, 5]
+        assert all(r["events"] == 2 for r in rec.records)
+
+    def test_reservoir_artifact_is_the_canonical_trace(self, tmp_path):
+        rec = recorder(tmp_path, bottom_k=1)
+        events = [StallStart(0.5), StallStart(1.5), StallStart(2.5)]
+        result = FakeResult(bitrate=0.2, events=events)
+        rec.observe(3, result)
+        rec.flush()
+        (record,) = rec.records
+        assert record["events"] == 3
+        path = os.path.join(str(tmp_path / "records"), record["artifact"])
+        with open(path, "rb") as handle:
+            blob = handle.read()
+        text = dumps_jsonl(events, result.trace_meta)
+        assert blob == gzip_bytes(text.encode("utf-8"))
+
+    def test_oversized_reservoir_survivor_is_not_serialized(
+            self, tmp_path, monkeypatch):
+        serialized = self._count_serializations(monkeypatch)
+        rec = recorder(tmp_path, bottom_k=1, max_events=1)
+        rec.observe(0, FakeResult(events=[StallStart(0.1),
+                                          StallStart(0.2)]))
+        rec.flush()
+        (record,) = rec.records
+        assert serialized == []
+        assert record["artifact"] is None and record["events"] == 2
+        assert rec.stats["oversized"] == 1
 
     def test_record_failure(self, tmp_path):
         rec = recorder(tmp_path)

@@ -1,9 +1,14 @@
 """Tests for the dependency-free SVG chart renderer."""
 
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.obs import report
 from repro.obs.svg import (SERIES_CLASSES, LaneSegment, Series, StripCell,
-                           bar_chart, cdf_chart, flame_lanes, fmt,
+                           bar_chart, cdf_chart, escape, flame_lanes, fmt,
                            histogram_chart, legend_html, line_chart,
                            nice_ticks, series_class, stacked_area,
                            strip_chart, tick_label)
@@ -16,6 +21,19 @@ def well_formed(svg: str) -> ET.Element:
 
 HIST = {"bounds": [0.0, 1.0, 2.0, 4.0], "counts": [2, 5, 1, 0, 1],
         "count": 9, "sum": 11.0, "min": -0.5, "max": 4.5}
+
+
+class TestEscape:
+    @given(st.text(alphabet=st.sampled_from("&<>;amptgl\"' x\u00e9"))
+           | st.text())
+    def test_matches_saxutils(self, text):
+        assert escape(text) == sax_escape(text)
+
+    def test_ampersand_first(self):
+        assert escape("&lt;<&>") == "&amp;lt;&lt;&amp;&gt;"
+
+    def test_report_uses_the_same_function(self):
+        assert report.escape is escape
 
 
 class TestFormatting:
