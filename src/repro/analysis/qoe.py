@@ -17,7 +17,7 @@ lengths compare.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from ..dash.events import PlayerEventLog
 from .metrics import SessionMetrics
@@ -28,6 +28,10 @@ from .metrics import SessionMetrics
 DEFAULT_SWITCH_PENALTY = 1.0
 DEFAULT_REBUFFER_PENALTY = 8.0
 DEFAULT_STARTUP_PENALTY = 1.0
+
+#: Mbps one unit of stall ratio (stalled s per session s) costs in the
+#: ladder-free QoE proxy of :func:`session_headline`.
+PROXY_STALL_WEIGHT = 8.0
 
 
 @dataclass(frozen=True)
@@ -112,3 +116,25 @@ def qoe_of(metrics: SessionMetrics, ladder_bytes_per_s: Sequence[float],
     return qoe_from_bitrates(
         bitrates, rebuffer_seconds=metrics.total_stall_time,
         startup_seconds=metrics.startup_delay or 0.0, **penalties)
+
+
+def session_headline(outcome: Any) -> Dict[str, float]:
+    """The headline numbers of one ``SessionResult`` or ``SessionSummary``
+    (read: ``metrics``, ``scheduler_stats``, ``finished``,
+    ``session_duration``).  ``qoe`` is a ladder-free proxy that orders
+    sessions — bitrate less a weighted stall ratio — not ``qoe_of``."""
+    m = outcome.metrics
+    stall_ratio = m.total_stall_time / max(outcome.session_duration, 1e-9)
+    return {
+        "qoe": m.mean_bitrate_mbps - PROXY_STALL_WEIGHT * stall_ratio,
+        "bitrate_mbps": m.mean_bitrate_mbps,
+        "stall_seconds": m.total_stall_time,
+        "stall_count": float(m.stall_count),
+        "startup_seconds": m.startup_delay or 0.0,
+        "cellular_mbytes": m.cellular_bytes / 1e6,
+        "cellular_fraction": m.cellular_fraction,
+        "energy_joules": m.radio_energy,
+        "deadline_misses": float(
+            outcome.scheduler_stats.get("deadline_misses", 0)),
+        "finished": 1.0 if outcome.finished else 0.0,
+    }

@@ -56,11 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Only the tables the options offer; each cmd_* imports what it
     # runs, so --version and --help load no subsystem beyond these.
     from . import __version__
-    from .abr import abr_names
-    from .core.deadlines import DEADLINE_MODES, RATE_BASED
     from .experiments.configs import BASELINE, DURATION, RATE
     from .workloads.arrivals import ARRIVAL_MODELS
-    from .workloads.videos import video_names
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -72,31 +69,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     stream = commands.add_parser(
         "stream", help="run one streaming session and analyze it")
-    _add_network_args(stream)
-    stream.add_argument("--video", default="big_buck_bunny",
-                        choices=video_names())
-    stream.add_argument("--abr", default="festive", choices=abr_names())
-    stream.add_argument("--mpdash", action="store_true",
-                        help="enable the MP-DASH scheduler")
-    stream.add_argument("--deadline-mode", default=RATE_BASED,
-                        choices=list(DEADLINE_MODES))
-    stream.add_argument("--alpha", type=float, default=1.0)
-    stream.add_argument("--duration", type=float, default=300.0,
-                        help="video length to stream, seconds")
+    _add_session_args(stream)
     stream.add_argument("--visualize", action="store_true",
                         help="print the Figure-8 chunk strip and "
                              "throughput patterns")
-    stream.add_argument("--ledger", metavar="FILE", default=None,
-                        help="append the session's headline record to "
-                             "this run-ledger JSONL file")
+    _add_ledger_arg(stream, "session's headline record")
 
     compare = commands.add_parser(
         "compare", help="baseline vs MP-DASH (duration & rate deadlines)")
     _add_network_args(compare)
-    compare.add_argument("--video", default="big_buck_bunny",
-                         choices=video_names())
-    compare.add_argument("--abr", default="festive", choices=abr_names())
-    compare.add_argument("--duration", type=float, default=300.0)
+    _add_video_args(compare, duration_help=None)
     compare.add_argument("--jobs", type=int, default=1,
                          help="run the schemes on this many processes")
     compare.add_argument("--cache-dir", default=None,
@@ -106,11 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser(
         "sweep", help="run a config grid in parallel, with result caching")
     _add_network_args(sweep)
-    sweep.add_argument("--video", default="big_buck_bunny",
-                       choices=video_names())
-    sweep.add_argument("--abr", default="festive", choices=abr_names())
-    sweep.add_argument("--duration", type=float, default=300.0,
-                       help="video length to stream, seconds")
+    _add_video_args(sweep)
     sweep.add_argument("--grid", action="append", default=[],
                        metavar="FIELD=V1,V2,...",
                        help="sweep one SessionConfig field over a value "
@@ -146,9 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="baseline BENCH_*.json the report compares "
                             "the latest --bench report against")
-    sweep.add_argument("--ledger", metavar="FILE", default=None,
-                       help="append the sweep's headline record to this "
-                            "run-ledger JSONL file")
+    _add_ledger_arg(sweep, "sweep's headline record")
 
     download = commands.add_parser(
         "download", help="one deadline-bounded file download")
@@ -160,17 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = commands.add_parser(
         "trace", help="capture, replay, and diff JSONL session traces")
-    _add_network_args(trace)
-    trace.add_argument("--video", default="big_buck_bunny",
-                       choices=video_names())
-    trace.add_argument("--abr", default="festive", choices=abr_names())
-    trace.add_argument("--mpdash", action="store_true",
-                       help="enable the MP-DASH scheduler")
-    trace.add_argument("--deadline-mode", default=RATE_BASED,
-                       choices=list(DEADLINE_MODES))
-    trace.add_argument("--alpha", type=float, default=1.0)
-    trace.add_argument("--duration", type=float, default=300.0,
-                       help="video length to stream, seconds")
+    _add_session_args(trace)
     trace.add_argument("--out", metavar="FILE",
                        help="export the captured trace as JSONL")
     trace.add_argument("--load", metavar="FILE",
@@ -263,9 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also render the report (and the --compare "
                             "verdict, when given) as a self-contained "
                             "HTML page")
-    bench.add_argument("--ledger", metavar="FILE", default=None,
-                       help="append the measured report to this "
-                            "run-ledger JSONL file (ignored with --load)")
+    _add_ledger_arg(bench, "measured report (ignored with --load)")
 
     report = commands.add_parser(
         "report", help="self-contained HTML session report (live run or "
@@ -292,14 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--seed", type=int, default=0,
                        help="workload seed: same seed, byte-identical "
                             "population registry")
-    fleet.add_argument("--video", default="big_buck_bunny",
-                       choices=video_names())
-    fleet.add_argument("--abr", default="festive", choices=abr_names())
+    _add_video_args(fleet, duration=60.0,
+                    duration_help="video length per session, seconds")
     fleet.add_argument("--scheme", default=RATE,
                        choices=list((BASELINE, DURATION, RATE)),
                        help="evaluation scheme applied to every session")
-    fleet.add_argument("--duration", type=float, default=60.0,
-                       help="video length per session, seconds")
     fleet.add_argument("--wifi-only-fraction", type=float, default=0.05,
                        metavar="F",
                        help="fraction of sessions without a cellular path")
@@ -356,9 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--triage-top", type=int, default=0, metavar="K",
                        help="with --report: render mini session reports "
                             "for the K worst captured anomalies")
-    fleet.add_argument("--ledger", metavar="FILE", default=None,
-                       help="append the campaign's headline record to "
-                            "this run-ledger JSONL file")
+    _add_ledger_arg(fleet, "campaign's headline record")
 
     triage = commands.add_parser(
         "triage", help="rank and replay flight-recorder captures from "
@@ -459,22 +418,39 @@ def _positive_int(text: str) -> int:
 
 
 def _add_session_args(parser: argparse.ArgumentParser) -> None:
-    """The shared run-one-session argument block (stats/spans/profile)."""
-    from .abr import abr_names
+    """The shared run-one-session argument block (stream, trace and the
+    single-session inspectors)."""
     from .core.deadlines import DEADLINE_MODES, RATE_BASED
-    from .workloads.videos import video_names
 
     _add_network_args(parser)
-    parser.add_argument("--video", default="big_buck_bunny",
-                        choices=video_names())
-    parser.add_argument("--abr", default="festive", choices=abr_names())
+    _add_video_args(parser)
     parser.add_argument("--mpdash", action="store_true",
                         help="enable the MP-DASH scheduler")
     parser.add_argument("--deadline-mode", default=RATE_BASED,
                         choices=list(DEADLINE_MODES))
     parser.add_argument("--alpha", type=float, default=1.0)
-    parser.add_argument("--duration", type=float, default=300.0,
-                        help="video length to stream, seconds")
+
+
+def _add_video_args(parser: argparse.ArgumentParser,
+                    duration: float = 300.0,
+                    duration_help: Optional[str] = "video length to "
+                                                   "stream, seconds"
+                    ) -> None:
+    """What every session plays: ``--video``, ``--abr``, ``--duration``."""
+    from .abr import abr_names
+    from .workloads.videos import video_names
+
+    parser.add_argument("--video", default="big_buck_bunny",
+                        choices=video_names())
+    parser.add_argument("--abr", default="festive", choices=abr_names())
+    parser.add_argument("--duration", type=float, default=duration,
+                        help=duration_help)
+
+
+def _add_ledger_arg(parser: argparse.ArgumentParser, record: str) -> None:
+    parser.add_argument("--ledger", metavar="FILE", default=None,
+                        help=f"append the {record} to this run-ledger "
+                             "JSONL file")
 
 
 def _add_network_args(parser: argparse.ArgumentParser) -> None:
@@ -491,6 +467,19 @@ def _add_network_args(parser: argparse.ArgumentParser) -> None:
                         help="WiFi RTT, ms")
     parser.add_argument("--lte-rtt", type=float, default=55.0,
                         help="LTE RTT, ms")
+
+
+def _load_trace(command: str, path: str) -> Optional["Trace"]:
+    """The JSONL trace at ``path``, or None once ``repro <command>:
+    cannot load ...`` is printed to stderr."""
+    from .obs.trace_export import load_jsonl
+
+    try:
+        return load_jsonl(path)
+    except (OSError, ValueError) as exc:
+        print(f"repro {command}: cannot load {path}: {exc}",
+              file=sys.stderr)
+        return None
 
 
 # ----------------------------------------------------------------------
@@ -751,15 +740,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .experiments.configs import SessionConfig
     from .experiments.runner import run_session
     from .experiments.tables import format_table
-    from .obs.trace_export import (Trace, dump_jsonl, load_jsonl,
-                                   metrics_from_trace)
+    from .obs.trace_export import Trace, dump_jsonl, metrics_from_trace
 
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro trace: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
+        trace = _load_trace("trace", args.load)
+        if trace is None:
             return 1
         if args.out is not None:
             dump_jsonl(args.out, trace.events, trace.meta)
@@ -779,11 +764,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         summary = _trace_summary("live", trace, result.metrics)
 
     if args.diff is not None:
-        try:
-            other = load_jsonl(args.diff)
-        except (OSError, ValueError) as exc:
-            print(f"repro trace: cannot load {args.diff}: {exc}",
-                  file=sys.stderr)
+        other = _load_trace("trace", args.diff)
+        if other is None:
             return 1
         other_summary = _trace_summary(args.diff, other,
                                        metrics_from_trace(other))
@@ -831,14 +813,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """The standard metrics registry, live or rebuilt from a trace."""
     from .experiments.runner import run_session
     from .obs.metrics import registry_from_trace
-    from .obs.trace_export import load_jsonl
 
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro stats: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
+        trace = _load_trace("stats", args.load)
+        if trace is None:
             return 1
         registry = registry_from_trace(trace)
         print(f"registry rebuilt from {args.load} "
@@ -858,14 +836,10 @@ def cmd_spans(args: argparse.Namespace) -> int:
     from .experiments.runner import run_session
     from .obs.spans import (dump_chrome_trace, render_span_tree,
                             spans_from_trace, spans_to_dicts)
-    from .obs.trace_export import load_jsonl
 
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro spans: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
+        trace = _load_trace("spans", args.load)
+        if trace is None:
             return 1
         spans = spans_from_trace(trace)
         print(f"spans rebuilt from {args.load} "
@@ -906,16 +880,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     """
     from .experiments.runner import run_session
     from .obs.check import check_trace, stock_checkers
-    from .obs.trace_export import load_jsonl
 
     checkers = stock_checkers(max_miss_rate=args.max_miss_rate,
                               max_stall_ratio=args.max_stall_ratio)
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro check: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
+        trace = _load_trace("check", args.load)
+        if trace is None:
             return 2
         report = check_trace(trace, checkers)
         print(f"checked {args.load} offline", file=sys.stderr)
@@ -1010,14 +980,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     """
     from .experiments.runner import run_session
     from .obs.report import session_report_html, write_report
-    from .obs.trace_export import load_jsonl
 
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro report: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
+        trace = _load_trace("report", args.load)
+        if trace is None:
             return 1
         write_report(args.out, session_report_html(trace))
         print(f"session report written to {args.out} "
@@ -1361,19 +1327,17 @@ def cmd_why(args: argparse.Namespace) -> int:
     """
     from .experiments.runner import run_session
     from .obs.recorder import rank_anomalies
-    from .obs.trace_export import Trace, load_jsonl
+    from .obs.trace_export import Trace
     from .obs.why import (attribute_anomaly, attributions_from_trace,
                           diff_traces, render_attributions,
                           summarize_attributions)
 
     if args.diff is not None:
         path_a, path_b = args.diff
-        try:
-            trace_a = load_jsonl(path_a)
-            trace_b = load_jsonl(path_b)
-        except (OSError, ValueError) as exc:
-            print(f"repro why: cannot load trace: {exc}",
-                  file=sys.stderr)
+        trace_a = _load_trace("why", path_a)
+        trace_b = (_load_trace("why", path_b) if trace_a is not None
+                   else None)
+        if trace_b is None:
             return 2
         diff = diff_traces(trace_a, trace_b)
         if args.json:
@@ -1415,11 +1379,8 @@ def cmd_why(args: argparse.Namespace) -> int:
         return 0
 
     if args.load is not None:
-        try:
-            trace = load_jsonl(args.load)
-        except (OSError, ValueError) as exc:
-            print(f"repro why: cannot load {args.load}: {exc}",
-                  file=sys.stderr)
+        trace = _load_trace("why", args.load)
+        if trace is None:
             return 2
         print(f"attributing {args.load} offline", file=sys.stderr)
     else:

@@ -42,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from ..analysis.metrics import SessionMetrics
+from .._durable import atomic_write, read_json_object
 from ..energy.devices import DEVICES
 from ..net.trace import BandwidthTrace
 from ..net.units import mbps
@@ -211,13 +211,14 @@ def session_config(config: FleetConfig, draw: SessionDraw) -> SessionConfig:
 
 
 def fold_session(registry: MetricsRegistry, draw: SessionDraw,
-                 metrics: SessionMetrics, scheduler_stats: Dict[str, int],
-                 finished: bool, session_duration: float) -> None:
+                 outcome: Any) -> None:
     """Fold one finished session into the population registry.
 
-    Pure accumulation into pinned-bound metrics: the same fold applied
-    in any shard of any worker produces mergeable, order-stable state.
+    ``outcome`` is its ``SessionResult``.  Pure accumulation into
+    pinned-bound metrics: the same fold applied in any shard of any
+    worker produces mergeable, order-stable state.
     """
+    metrics = outcome.metrics
     scenario = SCENARIO_NAMES.get(draw.scenario, str(draw.scenario))
     registry.counter("repro_fleet_sessions_total").inc()
     registry.counter("repro_fleet_sessions_total",
@@ -226,9 +227,10 @@ def fold_session(registry: MetricsRegistry, draw: SessionDraw,
                      {"device": draw.device}).inc()
     if draw.wifi_only:
         registry.counter("repro_fleet_wifi_only_sessions_total").inc()
-    if not finished:
+    if not outcome.finished:
         registry.counter("repro_fleet_sessions_unfinished_total").inc()
-    registry.gauge("repro_fleet_sim_seconds_total").add(session_duration)
+    registry.gauge("repro_fleet_sim_seconds_total").add(
+        outcome.session_duration)
 
     bitrate = metrics.mean_bitrate_mbps
     registry.histogram("repro_fleet_bitrate_mbps",
@@ -257,7 +259,7 @@ def fold_session(registry: MetricsRegistry, draw: SessionDraw,
             {"scenario": scenario}).observe(metrics.cellular_fraction)
     registry.histogram("repro_fleet_radio_energy_joules",
                        ENERGY_BOUNDS).observe(metrics.radio_energy)
-    misses = int(scheduler_stats.get("deadline_misses", 0))
+    misses = int(outcome.scheduler_stats.get("deadline_misses", 0))
     registry.counter("repro_fleet_deadline_misses_total").inc(misses)
     registry.histogram("repro_fleet_deadline_misses",
                        MISS_BOUNDS).observe(misses)
@@ -341,9 +343,7 @@ def _run_shard(config: FleetConfig, shard: int,
                 rec.record_failure(index,
                                    f"{type(exc).__name__}: {exc}")
             continue
-        fold_session(registry, draw, result.metrics,
-                     dict(result.scheduler_stats), result.finished,
-                     result.session_duration)
+        fold_session(registry, draw, result)
         completed += 1
         sim_seconds += result.session_duration
         if rec is not None:
@@ -391,10 +391,7 @@ def save_checkpoint(path: str, key: str, shards_done: int, sessions: int,
                "registry": registry.to_dict()}
     if recorder_state is not None:
         payload["recorder"] = recorder_state
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload, sort_keys=True).encode("utf-8"))
 
 
 def load_checkpoint(path: str, key: str) -> Optional[Dict[str, Any]]:
@@ -404,10 +401,8 @@ def load_checkpoint(path: str, key: str) -> Optional[Dict[str, Any]]:
     by a *different* campaign is a hard error — silently resuming someone
     else's population would corrupt both.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
+    payload = read_json_object(path)
+    if payload is None:
         return None
     found = payload.get("fleet_key")
     if found != key:

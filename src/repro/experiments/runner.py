@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..abr import make_abr
 from ..analysis.analyzer import MultipathVideoAnalyzer
@@ -31,11 +31,13 @@ from ..obs.check import Checker, CheckReport, InvariantMonitor
 from ..obs.events import SessionClosed, TraceEvent
 from ..obs.metrics import (MetricsRegistry, PathSampler,
                            SessionMetricsCollector)
-from ..obs.profile import ProfiledBus, Profiler
 from ..obs.spans import Span, SpanBuilder
 from ..obs.trace_export import TraceMeta, TraceRecorder, dump_jsonl
 from ..workloads.videos import video_asset
 from .configs import FileDownloadConfig, SessionConfig
+
+if TYPE_CHECKING:
+    from ..obs.profile import Profiler
 
 
 @dataclass
@@ -140,8 +142,13 @@ def run_session(config: SessionConfig, profile: bool = False,
     run ledger at that path (see :mod:`repro.obs.ledger`) — like
     ``profile``, a measurement knob that never changes the run itself.
     """
-    profiler = Profiler() if profile else None
-    sim = Simulator(bus=ProfiledBus(profiler) if profile else None)
+    profiler = bus = None
+    if profile:
+        from ..obs.profile import ProfiledBus, Profiler
+
+        profiler = Profiler()
+        bus = ProfiledBus(profiler)
+    sim = Simulator(bus=bus)
     sim.profiler = profiler
     record = config.record_trace or report is not None
     recorder = TraceRecorder(sim.bus) if record else None

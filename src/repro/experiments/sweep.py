@@ -44,6 +44,7 @@ from multiprocessing import get_all_start_methods, get_context
 from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Union)
 
+from .._durable import atomic_write, read_json_object
 from ..analysis.metrics import SessionMetrics
 from ..net.trace import BandwidthTrace
 from ..obs.bus import EventBus
@@ -360,19 +361,17 @@ class ResultCache:
         return os.path.join(self.root, f"{key}.json")
 
     def load(self, key: str) -> Optional[RunSummary]:
+        payload = read_json_object(self.path(key))
+        if payload is None:
+            return None
         try:
-            with open(self.path(key), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
             return summary_from_dict(payload)
-        except (OSError, ValueError, TypeError, KeyError):
+        except (ValueError, TypeError, KeyError):
             return None
 
     def store(self, key: str, summary: RunSummary) -> None:
-        final = self.path(key)
-        tmp = f"{final}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(summary.to_dict(), handle, sort_keys=True)
-        os.replace(tmp, final)
+        atomic_write(self.path(key), json.dumps(
+            summary.to_dict(), sort_keys=True).encode("utf-8"))
 
 
 # ----------------------------------------------------------------------

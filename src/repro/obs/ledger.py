@@ -17,9 +17,12 @@ Durability contract:
   with a single ``write`` on an ``O_APPEND`` descriptor, so concurrent
   appenders (two sweeps sharing a ledger) never interleave partial
   records.
-* **Loads tolerate a corrupt tail.**  A crash mid-append can leave a
-  truncated last line; :meth:`RunLedger.load` skips any unreadable line
-  and reports it as a warning instead of refusing the whole file.
+* **A torn tail is healed, then tolerated.**  A crash mid-append can
+  leave a truncated last line.  The next append first ends it with a
+  newline (:func:`repro._durable.append_line`), so the fragment never
+  swallows the new entry, and :meth:`RunLedger.load` skips any
+  unreadable line and reports it as a warning instead of refusing the
+  whole file.
 * **Entries are content-addressed.**  ``entry_id`` is the SHA-256 of
   the entry's canonical JSON body, so an id names exactly one payload
   and the drift sentinel (:mod:`repro.obs.drift`) can cite evidence by
@@ -41,6 +44,7 @@ import platform
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from .._durable import append_line
 from .metrics import peak_rss_kb
 
 #: Schema version stamped into every entry; loads skip (with a warning)
@@ -49,10 +53,6 @@ LEDGER_SCHEMA = 1
 
 #: The entry kinds the schema knows, one per entry point.
 ENTRY_KINDS = ("session", "sweep", "fleet", "bench")
-
-#: Stall-ratio weight of the ledger's ladder-free QoE headline (same
-#: spirit and value as the flight recorder's proxy).
-_QOE_REBUFFER_WEIGHT = 8.0
 
 
 def canonical_json(payload: Any) -> str:
@@ -171,15 +171,11 @@ class RunLedger:
         """Durably append one entry; returns its ``entry_id``.
 
         A single ``write`` on an ``O_APPEND`` descriptor: concurrent
-        appenders interleave whole lines, never fragments.
+        appenders interleave whole lines, never fragments, and a torn
+        last line left by a crashed appender is ended first.
         """
-        data = (canonical_json(entry.to_dict()) + "\n").encode("utf-8")
-        fd = os.open(self.path,
-                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
+        append_line(self.path, (canonical_json(entry.to_dict())
+                                + "\n").encode("utf-8"))
         return entry.entry_id
 
     def load(self) -> LedgerLoad:
@@ -220,13 +216,6 @@ class RunLedger:
 # ----------------------------------------------------------------------
 # Entry builders, one per entry point
 # ----------------------------------------------------------------------
-def _qoe_proxy(metrics: Any, session_duration: float) -> float:
-    """Bitrate minus a stall-ratio penalty (the recorder's ordering
-    proxy): ladder-free, computable from ``SessionMetrics`` alone."""
-    ratio = metrics.total_stall_time / max(session_duration, 1e-9)
-    return metrics.mean_bitrate_mbps - _QOE_REBUFFER_WEIGHT * ratio
-
-
 def _perf_metrics(wall_clock: Optional[float],
                   sim_seconds: Optional[float]) -> Dict[str, float]:
     out: Dict[str, float] = {}
@@ -243,20 +232,10 @@ def _perf_metrics(wall_clock: Optional[float],
 def session_entry(result: Any, label: str = "",
                   wall_clock: Optional[float] = None) -> LedgerEntry:
     """Build the ledger entry for one finished ``run_session`` result."""
-    m = result.metrics
-    stats = result.scheduler_stats
-    metrics: Dict[str, float] = {
-        "qoe": _qoe_proxy(m, result.session_duration),
-        "bitrate_mbps": m.mean_bitrate_mbps,
-        "stall_seconds": m.total_stall_time,
-        "stall_count": float(m.stall_count),
-        "startup_seconds": m.startup_delay or 0.0,
-        "cellular_mbytes": m.cellular_bytes / 1e6,
-        "cellular_fraction": m.cellular_fraction,
-        "energy_joules": m.radio_energy,
-        "deadline_misses": float(stats.get("deadline_misses", 0)),
-        "finished": 1.0 if result.finished else 0.0,
-    }
+    from ..analysis.qoe import session_headline
+    from ..experiments.sweep import config_key
+
+    metrics = session_headline(result)
     report = getattr(result, "check_report", None)
     if report is not None:
         metrics["violations"] = float(len(report.errors()))
@@ -264,8 +243,6 @@ def session_entry(result: Any, label: str = "",
     digest = None
     if getattr(result, "metrics_registry", None) is not None:
         digest = registry_digest(result.metrics_registry)
-    from ..experiments.sweep import config_key
-
     return LedgerEntry(kind="session", key=config_key(result.config),
                        label=label,
                        environment=environment_fingerprint(),
@@ -278,6 +255,8 @@ def sweep_entry(result: Any, label: str = "") -> LedgerEntry:
     The key hashes the sorted set of run config keys, so "the same
     grid" maps to the same series regardless of run order.
     """
+    from ..analysis.qoe import session_headline
+
     keys = sorted({run.config_key for run in result.runs})
     key = hashlib.sha256(
         canonical_json(keys).encode("utf-8")).hexdigest()[:24]
@@ -290,20 +269,19 @@ def sweep_entry(result: Any, label: str = "") -> LedgerEntry:
     }
     if sessions:
         count = float(len(sessions))
-        metrics["qoe"] = sum(
-            _qoe_proxy(s.metrics, s.session_duration)
-            for s in sessions) / count
+        headlines = [session_headline(s) for s in sessions]
+        metrics["qoe"] = sum(h["qoe"] for h in headlines) / count
         metrics["bitrate_mbps"] = sum(
-            s.metrics.mean_bitrate_mbps for s in sessions) / count
+            h["bitrate_mbps"] for h in headlines) / count
         metrics["stall_seconds"] = sum(
-            s.metrics.total_stall_time for s in sessions)
+            h["stall_seconds"] for h in headlines)
+        # Bytes are summed before the one division, as the grid total.
         metrics["cellular_mbytes"] = sum(
             s.metrics.cellular_bytes for s in sessions) / 1e6
         metrics["energy_joules"] = sum(
-            s.metrics.radio_energy for s in sessions)
-        metrics["deadline_misses"] = float(sum(
-            s.scheduler_stats.get("deadline_misses", 0)
-            for s in sessions))
+            h["energy_joules"] for h in headlines)
+        metrics["deadline_misses"] = sum(
+            h["deadline_misses"] for h in headlines)
         checked = [s for s in sessions if s.violations is not None]
         if checked:
             metrics["violations"] = float(sum(

@@ -19,7 +19,8 @@ Triggers, in triage-severity order (:data:`REASON_ORDER`):
 * ``deadline_miss`` / ``stall`` — the scheduler's deadline-miss count or
   the player's stall count crossed a configured threshold;
 * ``bottom_qoe`` — the session is among the shard's ``bottom_k`` worst
-  by QoE (a per-shard reservoir, so capture decisions never depend on
+  by the QoE proxy of :func:`~repro.analysis.qoe.session_headline` (a
+  per-shard reservoir, so capture decisions never depend on
   cross-shard execution order);
 * ``head_sample`` — deterministic head sampling (every ``head_every``-th
   session), the unbiased reference population.
@@ -39,6 +40,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .._durable import atomic_write
+from ..analysis.qoe import session_headline
 from .check import ERROR, check_trace
 from .trace_export import Trace, dumps_jsonl, gzip_bytes, load_jsonl
 from .why import attributions_from_trace, summarize_attributions
@@ -60,11 +63,6 @@ MANIFEST_VERSION = 1
 
 #: Characters of the fleet key used as the artifact directory name.
 _KEY_DIR_CHARS = 16
-
-#: Stall-time weight of the recorder's QoE proxy (Mbps of bitrate one
-#: unit of rebuffer *ratio* is worth — the spirit of the robust-MPC
-#: rebuffer penalty in :mod:`repro.analysis.qoe`).
-QOE_REBUFFER_WEIGHT = 8.0
 
 
 @dataclass(frozen=True)
@@ -111,17 +109,6 @@ def key_dir(artifact_dir: str, key: str) -> str:
 def artifact_name(index: int) -> str:
     """Artifact filename for one session index (fixed-width, sortable)."""
     return f"session-{index:08d}.jsonl.gz"
-
-
-def _qoe_proxy(metrics: Any, session_duration: float) -> float:
-    """Bitrate minus a stall-ratio penalty: higher is better.
-
-    A deliberately simple, ladder-free stand-in for the composite QoE in
-    :mod:`repro.analysis.qoe` — it only has to *order* sessions within a
-    shard, deterministically, from SessionMetrics alone.
-    """
-    ratio = metrics.total_stall_time / max(session_duration, 1e-9)
-    return metrics.mean_bitrate_mbps - QOE_REBUFFER_WEIGHT * ratio
 
 
 def empty_stats() -> Dict[str, Any]:
@@ -183,11 +170,10 @@ class ShardRecorder:
         if events is None:
             self.stats["untraced"] += 1
             return []
-        metrics = result.metrics
-        misses = int(dict(result.scheduler_stats).get(
-            "deadline_misses", 0))
-        stalls = int(metrics.stall_count)
-        qoe = _qoe_proxy(metrics, result.session_duration)
+        headline = session_headline(result)
+        misses = int(headline["deadline_misses"])
+        stalls = int(headline["stall_count"])
+        qoe = headline["qoe"]
         violations: Optional[Dict[str, int]] = None
         attributions: List[Any] = []
         reasons: List[str] = []
@@ -208,9 +194,9 @@ class ShardRecorder:
         if self.config.head_every and index % self.config.head_every == 0:
             reasons.append(REASON_HEAD)
         detail = {"qoe": qoe, "misses": misses, "stalls": stalls,
-                  "bitrate_mbps": metrics.mean_bitrate_mbps,
-                  "stall_seconds": metrics.total_stall_time,
-                  "finished": bool(result.finished),
+                  "bitrate_mbps": headline["bitrate_mbps"],
+                  "stall_seconds": headline["stall_seconds"],
+                  "finished": bool(headline["finished"]),
                   "violations": violations,
                   "attribution": (summarize_attributions(attributions)
                                   if attributions else None),
@@ -308,11 +294,8 @@ class ShardRecorder:
         path relative to the recorder root."""
         os.makedirs(self.directory, exist_ok=True)
         blob = gzip_bytes(text.encode("utf-8"))
-        final = os.path.join(self.directory, artifact_name(index))
-        tmp = f"{final}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, final)
+        atomic_write(os.path.join(self.directory, artifact_name(index)),
+                     blob)
         self.stats["bytes_written"] += len(blob)
         return os.path.join(os.path.basename(self.directory),
                             artifact_name(index))
@@ -334,10 +317,7 @@ def save_manifest(artifact_dir: str, key: str, stats: Mapping[str, Any],
     path = os.path.join(directory, MANIFEST_FILE)
     payload = {"version": MANIFEST_VERSION, "fleet_key": key,
                "stats": dict(stats), "records": list(records)}
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(payload, sort_keys=True).encode("utf-8"))
     return path
 
 

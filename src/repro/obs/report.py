@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from .._durable import atomic_write
 from .bench import BenchReport, compare_reports
 from .check import ERROR, INFO, WARNING, CheckReport, check_trace
 from .events import StallEnd, StallStart
@@ -1357,6 +1358,5 @@ def history_report_html(entries: Sequence[Any],
 
 
 def write_report(path: str, html: str) -> None:
-    """Write a rendered report to ``path`` (UTF-8)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(html)
+    """Atomically write a rendered report to ``path`` (UTF-8)."""
+    atomic_write(path, html.encode("utf-8"))

@@ -137,8 +137,11 @@ def load_jsonl(path_or_file: Union[str, IO[str]]) -> Trace:
     if hasattr(path_or_file, "read"):
         return loads_jsonl(path_or_file.read())
     if _is_gzip_path(path_or_file):
-        with gzip.open(path_or_file, "rt", encoding="utf-8") as handle:
-            return loads_jsonl(handle.read())
+        try:
+            with gzip.open(path_or_file, "rt", encoding="utf-8") as handle:
+                return loads_jsonl(handle.read())
+        except EOFError as exc:  # unreadable content is a ValueError
+            raise ValueError(f"truncated gzip trace: {exc}") from exc
     with open(path_or_file, "r", encoding="utf-8") as handle:
         return loads_jsonl(handle.read())
 

@@ -22,6 +22,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 IMPORT_BUDGET = (
     "repro.obs.report", "repro.obs.svg", "repro.obs.ledger",
     "repro.obs.drift", "repro.obs.bench", "repro.obs.live",
+    "repro.obs.profile",
     "repro.analysis.report", "repro.experiments.compare",
     "xml.sax", "urllib.request", "http.client", "email.parser",
 )

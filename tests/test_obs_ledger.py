@@ -139,6 +139,33 @@ class TestRunLedger:
         assert "skipped unreadable ledger line" in load.warnings[0]
         assert ":2:" in load.warnings[0]
 
+    def test_append_after_torn_tail_keeps_the_new_entry(self, tmp_path):
+        path = str(tmp_path / "runs.jsonl")
+        ledger = RunLedger(path)
+        first, second, third = (entry(metrics={"qoe": q})
+                                for q in (1.0, 2.0, 3.0))
+        ledger.append(first)
+        ledger.append(second)
+        torn = len(canonical_json(second.to_dict())) // 2
+        with open(path, "r+b") as handle:
+            handle.truncate(handle.seek(0, 2) - torn)  # crash mid-append
+        ledger.append(third)
+        load = ledger.load()
+        assert [e.entry_id for e in load.entries] == [first.entry_id,
+                                                      third.entry_id]
+        assert len(load.warnings) == 1 and ":2:" in load.warnings[0]
+
+    def test_intact_tail_gets_no_extra_byte(self, tmp_path):
+        path = str(tmp_path / "runs.jsonl")
+        ledger = RunLedger(path)
+        entries = [entry(metrics={"qoe": 1.0}), entry(metrics={"qoe": 2.0})]
+        for item in entries:
+            ledger.append(item)
+        with open(path, "rb") as handle:
+            assert handle.read() == "".join(
+                canonical_json(item.to_dict()) + "\n"
+                for item in entries).encode("utf-8")
+
     def test_corrupt_middle_line_skipped_with_warning(self, tmp_path):
         path = str(tmp_path / "runs.jsonl")
         ledger = RunLedger(path)

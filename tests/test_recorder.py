@@ -25,6 +25,10 @@ class FakeMetrics:
         self.mean_bitrate_mbps = bitrate
         self.total_stall_time = stall_time
         self.stall_count = stalls
+        self.startup_delay = None
+        self.cellular_bytes = 0.0
+        self.cellular_fraction = 0.0
+        self.radio_energy = 0.0
 
 
 class FakeResult:
@@ -381,6 +385,16 @@ class TestReplayAnomaly:
         path.write_bytes(gzip_bytes(b"not a trace"))
         verdict = replay_anomaly(str(tmp_path), {"artifact": "bad.jsonl.gz"})
         assert verdict["replayed"] is False and verdict["error"]
+
+    def test_torn_artifact_degrades(self, tmp_path):
+        blob = gzip_bytes(dumps_jsonl(
+            [StallStart(0.1)] * 50, TraceMeta(session_duration=1.0)
+        ).encode("utf-8"))
+        (tmp_path / "torn.jsonl.gz").write_bytes(blob[:len(blob) // 2])
+        verdict = replay_anomaly(str(tmp_path),
+                                 {"artifact": "torn.jsonl.gz"})
+        assert verdict["replayed"] is False
+        assert verdict["error"].startswith("ValueError: truncated gzip")
 
     def test_replays_a_real_artifact(self, tmp_path):
         text = dumps_jsonl([], TraceMeta(session_duration=1.0))
